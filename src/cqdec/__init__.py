@@ -28,17 +28,12 @@ from .decoder import (
     build_povm,
     exact_error_probability,
     simulate_trial,
-    subspace_variant_projectors,
     transcript_probability,
     verify_mixture_identity,
 )
 from .errors import ConfigError, CqdecError, ResourceBudgetError, ValidationError
 from .linalg import (
-    ProductVector,
     SpectralDecomposition,
-    expand,
-    product_inner,
-    product_vector,
     shannon_entropy,
     spectral_decompose,
     von_neumann_entropy,

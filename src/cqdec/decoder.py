@@ -7,12 +7,17 @@ check and, after every "no", projects back onto the typical subspace; a
 failed typicality check aborts, a "yes" on a test decodes that codeword.
 
 All states are tracked in the product eigenbasis of the average output,
-restricted to the typical subspace: once the opening typicality check has
-passed, the state stays inside the typical subspace up to the components a
-"no" projection pushes outside it, and those are exactly what the following
-typicality check removes.  A test's yes-probability on a masked state only
-involves the masked components of the test vector, so the whole chain runs
-on dim(H)-sized vectors.
+restricted to the typical subspace H: once the opening typicality check has
+passed, the state stays inside H up to the components a "no" projection
+pushes outside it, and those are exactly what the following typicality check
+removes.  A test's yes-probability on a masked state only involves the masked
+components of its product eigenvectors, so the whole chain runs on
+dim(H)-sized vectors.  Every test has one format: the (dim_H, r) block of
+those components, with r = 1 for a rank-one test, and its adjoint.
+
+The POVM's no-chain C_1 = P, C_(l+1) = P (1 - P_l) C_l also maps H into H, so
+build_povm runs it as a dim_H x dim_H matrix and only places the finished
+elements into the full d^n space.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
 from .codebook import Codebook
 from .errors import ResourceBudgetError, ValidationError
+from .linalg import digit_table, product_entries
 from .typicality import (
     MaskedHermitian,
     TypicalModel,
@@ -46,24 +52,6 @@ SUBSPACE = "subspace"
 _NORM_FLOOR = 1e-14
 
 
-def full_product_coords(ch: CQChannel, j_seq, labels) -> np.ndarray:
-    """Product eigenvector |labels>_{j_seq} in the average-state product eigenbasis."""
-    vec = None
-    for j, k in zip(j_seq, labels):
-        col = ch.coords[int(j)][:, int(k)]
-        vec = col if vec is None else np.kron(vec, col)
-    return vec
-
-
-def masked_product_coords(model: TypicalModel, ch: CQChannel, j_seq, labels) -> np.ndarray:
-    """Masked-basis components of the product eigenvector |labels>_{j_seq}."""
-    out = np.ones(model.dim_H, dtype=complex)
-    for i in range(model.n):
-        u = ch.coords[int(j_seq[i])]
-        out *= u[model.masked_digits[:, i].astype(int), int(labels[i])]
-    return out
-
-
 def product_output_state(ch: CQChannel, j_seq) -> np.ndarray:
     """Exact channel output rho_{j_seq} in the average-state product eigenbasis."""
     state = None
@@ -81,7 +69,6 @@ class PlanTest:
     message: int
     codeword: tuple[int, ...]
     labels: tuple[int, ...] | None  # None for a subspace test
-    weight: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +79,9 @@ class DecoderPlan:
     variant: str
     ordering: str
     worst_index: int | None
-    cond_delta: float
     tests: tuple[PlanTest, ...]
-    masked_tests: np.ndarray | None  # (M, dim_H) for rank-1 tests
-    masked_blocks: tuple[np.ndarray, ...] | None  # (dim_H, r) per subspace test
+    blocks: tuple[np.ndarray, ...]  # (dim_H, r) masked components per test
+    adjoints: tuple[np.ndarray, ...]  # (r, dim_H) conjugate transpose of each block
     m_theory_log2: float
 
     @property
@@ -107,53 +93,18 @@ class DecoderPlan:
         """2^(nR) * 2^(n * mean letter entropy): the analytic test-count estimate."""
         return 2.0**self.m_theory_log2
 
+    def masked_state(self, j_seq, labels) -> np.ndarray:
+        """Masked components of the product eigenvector |labels>_{j_seq}."""
+        mats = [self.channel.coords[int(j)] for j in j_seq]
+        return product_entries(mats, self.model.masked_digits, np.array([labels]))[:, 0]
+
     def test_yes_amplitudes(self, psi: np.ndarray, index: int) -> np.ndarray:
-        """Amplitudes <component|psi> for the rank-1 vector or subspace basis of a test."""
-        if self.variant == RANK_ONE:
-            return np.array([np.vdot(self.masked_tests[index], psi)])
-        block = self.masked_blocks[index]
-        return block.conj().T @ psi
+        """Amplitudes <component|psi> over the columns of a test's block."""
+        return self.adjoints[index].dot(psi)
 
     def apply_no(self, psi: np.ndarray, index: int, amps: np.ndarray) -> np.ndarray:
         """Masked components after (1 - P_test) acting on a masked state."""
-        if self.variant == RANK_ONE:
-            return psi - amps[0] * self.masked_tests[index]
-        return psi - self.masked_blocks[index] @ amps
-
-
-def subspace_variant_projectors(
-    ch: CQChannel,
-    codebook: Codebook,
-    delta_cond: float,
-    budgets: Budgets = DEFAULT_BUDGETS,
-) -> list[np.ndarray]:
-    """Per codeword, an orthonormal basis of its conditional typical subspace.
-
-    The basis columns are the conditional-typical product eigenvectors
-    themselves (for a fixed codeword they are exactly orthonormal); the
-    subspace projector is basis @ basis^dagger.  Expressed in the
-    average-state product eigenbasis.
-    """
-    dim = ch.letter_dim**codebook.n
-    if dim > budgets.dim_limit:
-        raise ResourceBudgetError(
-            f"composite dimension {dim} exceeds dim budget {budgets.dim_limit}", reason="dim"
-        )
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-    out = []
-    for word in codebook.codewords:
-        if word not in cache:
-            cts = conditional_typical_outputs(ch, word, delta_cond, budgets)
-            if dim * max(cts.count, 1) > budgets.work_limit:
-                raise ResourceBudgetError(
-                    f"subspace basis of {dim}x{cts.count} exceeds work budget", reason="work"
-                )
-            cols = np.empty((dim, cts.count), dtype=complex)
-            for i in range(cts.count):
-                cols[:, i] = full_product_coords(ch, word, cts.labels[i])
-            cache[word] = cols
-        out.append(cache[word])
-    return out
+        return psi - self.blocks[index].dot(amps)
 
 
 def build_plan(
@@ -184,58 +135,39 @@ def build_plan(
     if model is None:
         model = build_typical_model(ch, params, budgets)
 
-    log_priors = np.log(ch.priors)
-    tests: list[PlanTest] = []
+    # each test with its columns in its codeword's block
+    entries: list[tuple[PlanTest, slice]] = []
     cts_cache: dict[tuple[int, ...], object] = {}
     for s, word in enumerate(codebook.codewords):
         if word not in cts_cache:
             cts_cache[word] = conditional_typical_outputs(ch, word, params.cond_delta, budgets)
         cts = cts_cache[word]
-        p_seq = math.exp(float(log_priors[np.asarray(word, dtype=int)].sum()))
         if variant == RANK_ONE:
             for i in range(cts.count):
-                tests.append(
-                    PlanTest(
-                        message=s,
-                        codeword=word,
-                        labels=tuple(int(x) for x in cts.labels[i]),
-                        weight=p_seq * float(cts.probs[i]),
-                    )
-                )
-                if len(tests) > budgets.set_limit:
+                labels = tuple(int(x) for x in cts.labels[i])
+                test = PlanTest(message=s, codeword=word, labels=labels)
+                entries.append((test, slice(i, i + 1)))
+                if len(entries) > budgets.set_limit:
                     raise ResourceBudgetError(
                         f"plan exceeds set budget {budgets.set_limit} tests", reason="set"
                     )
         else:
-            tests.append(
-                PlanTest(message=s, codeword=word, labels=None, weight=p_seq * cts.total_prob)
-            )
-
+            entries.append((PlanTest(message=s, codeword=word, labels=None), slice(None)))
     if ordering == "worst_case":
-        first = [t for t in tests if t.message != worst_index]
-        last = [t for t in tests if t.message == worst_index]
-        tests = first + last
+        # a stable sort keeps the schedule order within both parts
+        entries.sort(key=lambda e: e[0].message == worst_index)
 
     dim_h = model.dim_H
-    masked_tests = None
-    masked_blocks = None
-    if variant == RANK_ONE:
-        if len(tests) * max(dim_h, 1) > budgets.work_limit:
-            raise ResourceBudgetError(
-                f"masked test matrix {len(tests)}x{dim_h} exceeds work budget", reason="work"
-            )
-        masked_tests = np.empty((len(tests), dim_h), dtype=complex)
-        for i, t in enumerate(tests):
-            masked_tests[i] = masked_product_coords(model, ch, t.codeword, t.labels)
-    else:
-        mb = []
-        for t in tests:
-            cts = cts_cache[t.codeword]
-            block = np.empty((dim_h, cts.count), dtype=complex)
-            for i in range(cts.count):
-                block[:, i] = masked_product_coords(model, ch, t.codeword, cts.labels[i])
-            mb.append(block)
-        masked_blocks = tuple(mb)
+    width = sum(cts.count for cts in cts_cache.values())
+    if width * max(dim_h, 1) > budgets.work_limit:
+        raise ResourceBudgetError(
+            f"masked test blocks {dim_h}x{width} exceed work budget", reason="work"
+        )
+    adjoints = {}
+    for word, cts in cts_cache.items():
+        block = product_entries([ch.coords[int(j)] for j in word], model.masked_digits, cts.labels)
+        adjoints[word] = np.ascontiguousarray(block.conj().T)
+    blocks = {word: a.conj().T for word, a in adjoints.items()}
 
     m_theory_log2 = codebook.n * (codebook.rate + ch.mean_letter_entropy)
     return DecoderPlan(
@@ -245,10 +177,9 @@ def build_plan(
         variant=variant,
         ordering=ordering,
         worst_index=worst_index,
-        cond_delta=params.cond_delta,
-        tests=tuple(tests),
-        masked_tests=masked_tests,
-        masked_blocks=masked_blocks,
+        tests=tuple(t for t, _ in entries),
+        blocks=tuple(blocks[t.codeword][:, c] for t, c in entries),
+        adjoints=tuple(adjoints[t.codeword][c] for t, c in entries),
         m_theory_log2=m_theory_log2,
     )
 
@@ -297,7 +228,7 @@ def simulate_trial(
         raise ValidationError("params.n does not match the plan")
     word = plan.codebook.codewords[true_index]
     labels = sample_output_labels(ch, word, rng)
-    psi = masked_product_coords(plan.model, ch, word, labels)
+    psi = plan.masked_state(word, labels)
 
     events: list[tuple[str, int, bool]] = []
     p_typ = float(np.vdot(psi, psi).real)
@@ -346,7 +277,7 @@ def transcript_probability(
     """
     if not 0 <= test_index < plan.num_tests:
         raise ValidationError(f"test_index {test_index} out of range")
-    psi = masked_product_coords(plan.model, ch, j_seq, labels)
+    psi = plan.masked_state(j_seq, labels)
     total = float(np.vdot(psi, psi).real)
     if total < _NORM_FLOOR:
         return 0.0
@@ -376,7 +307,7 @@ def amplitude_chain(plan: DecoderPlan, ch: CQChannel, j_seq, labels, m: int) -> 
     """
     if m < 0 or m > plan.num_tests:
         raise ValidationError(f"m must be in [0, {plan.num_tests}]")
-    bra = masked_product_coords(plan.model, ch, j_seq, labels)
+    bra = plan.masked_state(j_seq, labels)
     psi = bra.copy()
     for idx in range(m):
         amps = plan.test_yes_amplitudes(psi, idx)
@@ -456,9 +387,10 @@ def verify_mixture_identity(
 ) -> float:
     """Max-abs deviation between sum_l pi_l P P_l P and rho_tilde.
 
-    The left side is rebuilt test by test from dense kron expansions of the
-    individual product eigenvectors over every (typical sequence, conditional
-    label) pair; the right side comes from build_rho_tilde's batched path.
+    The left side is rebuilt pair by pair from the full d^n-dimensional
+    product eigenvectors of every (typical sequence, conditional label) pair,
+    one outer product each; the right side comes from build_rho_tilde's
+    batched masked path.
     """
     model = build_typical_model(ch, params, budgets)
     rho_tilde = build_rho_tilde(ch, params, model, budgets)
@@ -471,6 +403,7 @@ def verify_mixture_identity(
     log_priors = np.log(ch.priors)
     lhs = np.zeros((dim, dim), dtype=complex)
     mask = model.mask
+    digits = digit_table(ch.letter_dim, params.n)
     pairs = 0
     for row in tset.sequences:
         cts = conditional_typical_outputs(ch, row, params.cond_delta, budgets)
@@ -479,10 +412,14 @@ def verify_mixture_identity(
             raise ResourceBudgetError(
                 f"mixture identity needs more than {budgets.set_limit} pairs", reason="set"
             )
+        if dim * cts.count > budgets.work_limit:
+            raise ResourceBudgetError(
+                f"{dim}x{cts.count} product eigenvectors exceed work budget", reason="work"
+            )
         p_seq = math.exp(float(log_priors[row.astype(int)].sum()))
+        vecs = product_entries([ch.coords[int(j)] for j in row], digits, cts.labels)
         for i in range(cts.count):
-            vec = full_product_coords(ch, row, cts.labels[i])
-            masked_vec = np.where(mask, vec, 0.0)
+            masked_vec = np.where(mask, vecs[:, i], 0.0)
             lhs += (p_seq * float(cts.probs[i])) * np.outer(masked_vec, masked_vec.conj())
     ix = model.masked_indices
     lhs_masked = lhs[np.ix_(ix, ix)]
@@ -522,14 +459,14 @@ def error_report_to_text(report: "ErrorReport") -> str:
 class POVMSet:
     """Effective POVM of the whole decoding chain.
 
-    Rank-1 plans store each element as a vector v with E = outer(v, v*);
-    subspace plans store a block W with E = W @ W^dagger.  The abort element
-    is dense.  Everything is in the average-state product eigenbasis.
+    Element l is W_l W_l^dagger for a (d^n, r) block W_l, with r = 1 for a
+    rank-one test; build_povm computes each block on the typical subspace, so
+    its rows outside it are zero.  The abort element is dense.  Everything is
+    in the average-state product eigenbasis.
     """
 
     plan: DecoderPlan
-    vectors: tuple[np.ndarray, ...] | None
-    blocks: tuple[np.ndarray, ...] | None
+    blocks: tuple[np.ndarray, ...]
     abort: np.ndarray
     test_messages: tuple[int, ...]
 
@@ -542,9 +479,6 @@ class POVMSet:
         return self.abort.shape[0]
 
     def element(self, index: int) -> np.ndarray:
-        if self.vectors is not None:
-            v = self.vectors[index]
-            return np.outer(v, v.conj())
         w = self.blocks[index]
         return w @ w.conj().T
 
@@ -562,17 +496,17 @@ class POVMSet:
         return worst
 
 
-def build_povm(
-    plan: DecoderPlan, model: TypicalModel | None = None, budgets: Budgets = DEFAULT_BUDGETS
-) -> POVMSet:
-    """Materialize the chain's POVM elements by accumulating the no-chain operator.
+def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet:
+    """Materialize the chain's POVM elements by accumulating the no-chain on H.
 
-    With C_1 = P and C_(l+1) = P (1 - P_l) C_l, element l is C_l^dagger P_l C_l,
-    so the whole set costs O(M) dense updates.  The abort element is
+    With C_1 = P and C_(l+1) = P (1 - P_l) C_l, element l is C_l^dagger P_l C_l.
+    Every C_l maps H into H, so the chain is the dim_H x dim_H matrix c, with
+    c_1 = 1 and c <- c - W_l (W_l^dagger c) for test l's block W_l; element l's
+    block is c^dagger W_l, placed at the typical rows of the full space.  The
+    whole set costs O(M) dim_H x dim_H updates.  The abort element is
     identity - sum of the rest, then symmetrized.
     """
-    model = model or plan.model
-    ch = plan.channel
+    model = plan.model
     dim = model.dim_total
     if dim > budgets.dim_limit:
         raise ResourceBudgetError(
@@ -582,47 +516,26 @@ def build_povm(
         raise ResourceBudgetError(
             f"dense {dim}x{dim} POVM accumulation exceeds work budget", reason="work"
         )
-    mask = model.mask
-    chain = np.zeros((dim, dim), dtype=complex)
-    chain[mask, mask] = 1.0  # C_1 = P
-    total = np.zeros((dim, dim), dtype=complex)
-    vectors: list[np.ndarray] = []
+    ix = model.masked_indices
+    chain = np.eye(model.dim_H, dtype=complex)  # C_1 = P
+    total = np.zeros((model.dim_H, model.dim_H), dtype=complex)
     blocks: list[np.ndarray] = []
-    basis_cache: dict[tuple[int, ...], np.ndarray] = {}
-    for t in plan.tests:
-        if plan.variant == RANK_ONE:
-            phi = full_product_coords(ch, t.codeword, t.labels)
-            v = chain.conj().T @ phi
-            vectors.append(v)
-            total += np.outer(v, v.conj())
-            chain -= np.outer(phi, phi.conj() @ chain)
-        else:
-            if t.codeword not in basis_cache:
-                basis_cache[t.codeword] = _subspace_basis(ch, t.codeword, plan.cond_delta, budgets)
-            q = basis_cache[t.codeword]
-            w = chain.conj().T @ q
-            blocks.append(w)
-            total += w @ w.conj().T
-            chain -= q @ (q.conj().T @ chain)
-        chain[~mask, :] = 0.0
-    abort = np.eye(dim, dtype=complex) - total
+    for block, adjoint in zip(plan.blocks, plan.adjoints):
+        wc = adjoint @ chain  # W^dagger c
+        total += wc.conj().T @ wc
+        full = np.zeros((dim, wc.shape[0]), dtype=complex)
+        full[ix] = wc.conj().T
+        blocks.append(full)
+        chain -= block @ wc
+    abort = np.eye(dim, dtype=complex)
+    abort[np.ix_(ix, ix)] -= total
     abort = 0.5 * (abort + abort.conj().T)
     return POVMSet(
         plan=plan,
-        vectors=tuple(vectors) if plan.variant == RANK_ONE else None,
-        blocks=tuple(blocks) if plan.variant == SUBSPACE else None,
+        blocks=tuple(blocks),
         abort=abort,
         test_messages=tuple(t.message for t in plan.tests),
     )
-
-
-def _subspace_basis(ch, codeword, cond_delta, budgets) -> np.ndarray:
-    cts = conditional_typical_outputs(ch, codeword, cond_delta, budgets)
-    dim = ch.letter_dim ** len(codeword)
-    cols = np.empty((dim, cts.count), dtype=complex)
-    for i in range(cts.count):
-        cols[:, i] = full_product_coords(ch, codeword, cts.labels[i])
-    return cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,34 +557,19 @@ def exact_error_probability(povm: POVMSet, ch: CQChannel, codebook: Codebook) ->
         raise ValidationError("POVM was built for a different codebook")
     n_msg = codebook.num_messages
     messages = np.array(povm.test_messages, dtype=int)
+    owner = np.repeat(messages, [b.shape[1] for b in povm.blocks])
+    if povm.num_elements:
+        basis = np.concatenate(povm.blocks, axis=1).T.copy()
+    else:
+        basis = np.zeros((0, povm.dim), complex)
     success = np.zeros(n_msg)
     misdecode = np.zeros(n_msg)
     abort = np.zeros(n_msg)
-    if povm.vectors is not None:
-        basis = np.stack(povm.vectors) if povm.num_elements else np.zeros((0, povm.dim), complex)
-    else:
-        basis = (
-            np.concatenate(povm.blocks, axis=1).T.copy()
-            if povm.num_elements
-            else np.zeros((0, povm.dim), complex)
-        )
-        col_owner = np.concatenate(
-            [np.full(b.shape[1], m) for b, m in zip(povm.blocks, messages)]
-        ) if povm.num_elements else np.zeros(0, dtype=int)
     for s in range(n_msg):
         rho = product_output_state(ch, codebook.codewords[s])
-        if basis.shape[0]:
-            vals = np.einsum("ij,jk,ik->i", basis.conj(), rho, basis).real
-        else:
-            vals = np.zeros(0)
-        if povm.vectors is not None:
-            per_test = vals
-            owner = messages
-        else:
-            per_test = vals
-            owner = col_owner
-        mine = float(per_test[owner == s].sum()) if per_test.size else 0.0
-        everything = float(per_test.sum()) if per_test.size else 0.0
+        vals = np.einsum("ij,jk,ik->i", basis.conj(), rho, basis).real
+        mine = float(vals[owner == s].sum())
+        everything = float(vals.sum())
         success[s] = mine
         misdecode[s] = everything - mine
         abort[s] = 1.0 - everything

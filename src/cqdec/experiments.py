@@ -190,6 +190,7 @@ def run_point(
         return PointResult(
             **base,
             status="ok",
+            reason="" if plan.model.dim_H else "empty_window",
             num_messages=codebook.num_messages,
             num_tests=plan.num_tests,
             dim_h=plan.model.dim_H,

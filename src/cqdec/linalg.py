@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra and product-structure kernels.
+"""Dense Hermitian linear algebra and the product kernel.
 
 All operators and states are plain numpy arrays in a fixed global basis.
 Composite systems of n letters with per-letter dimension d use one index
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, Budgets
-from .errors import ResourceBudgetError, ValidationError
+from .errors import ValidationError
 
 TOL_HERM = 1e-10
 TOL_EIG = 1e-10
@@ -109,68 +108,25 @@ def shannon_entropy(p) -> float:
     return entropy_of_spectrum(np.clip(v, 0.0, None))
 
 
-@dataclass(frozen=True)
-class ProductVector:
-    """Tensor product state stored as its per-letter factors.
+def digit_table(d: int, n: int) -> np.ndarray:
+    """(d^n, n) table of base-d digits; letter 1 is the most significant digit."""
+    idx = np.arange(d**n)
+    digits = np.empty((d**n, n), dtype=np.int16)
+    for i in range(n):
+        digits[:, i] = (idx // d ** (n - 1 - i)) % d
+    return digits
 
-    Factors are unit vectors of a common dimension d; the expanded vector is
-    factor 1 kron factor 2 kron ... (letter 1 most significant).
+
+def product_entries(mats, rows, cols) -> np.ndarray:
+    """(R, K) block of mats[0] kron ... kron mats[n-1] at the given digit rows and columns.
+
+    ``rows`` is (R, n) and ``cols`` is (K, n), each row a composite index
+    written as base-d digits (see digit_table).  Entry (r, k) is the product
+    over letters i of mats[i][rows[r, i], cols[k, i]], multiplied left to
+    right, so it equals the chained np.kron entry to the bit.
     """
-
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValidationError("ProductVector needs at least one factor")
-        d = self.factors[0].shape[0]
-        for i, f in enumerate(self.factors):
-            if f.ndim != 1 or f.shape[0] != d:
-                raise ValidationError(f"factor {i} has shape {f.shape}, expected ({d},)")
-            norm = float(np.linalg.norm(f))
-            if abs(norm - 1.0) > 1e-8:
-                raise ValidationError(f"factor {i} is not normalized: |v| = {norm!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    @property
-    def letter_dim(self) -> int:
-        return self.factors[0].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.letter_dim**self.n
-
-
-def product_vector(factors) -> ProductVector:
-    return ProductVector(tuple(np.asarray(f, dtype=complex) for f in factors))
-
-
-def expand(x: ProductVector, budgets: Budgets = DEFAULT_BUDGETS) -> np.ndarray:
-    """Dense expansion of a product vector (kron of the factors)."""
-    if x.dim > budgets.dim_limit:
-        raise ResourceBudgetError(
-            f"expansion dimension {x.dim} exceeds dim budget {budgets.dim_limit}",
-            reason="dim",
-        )
-    out = x.factors[0]
-    for f in x.factors[1:]:
-        out = np.kron(out, f)
+    out = None
+    for m, r, c in zip(mats, rows.T, cols.T):
+        factor = m.take(c, axis=1).take(r, axis=0)
+        out = factor if out is None else out * factor
     return out
-
-
-def product_inner(x: ProductVector, y: np.ndarray) -> complex:
-    """<expand(x)|y> by sequential per-factor contraction.
-
-    Contracting one factor at a time costs O(d^n) per factor and never
-    materializes expand(x), so it stays cheap for states y that are not
-    themselves products (e.g. post-measurement states).
-    """
-    y = np.asarray(y, dtype=complex)
-    if y.ndim != 1 or y.shape[0] != x.dim:
-        raise ValidationError(f"dimension mismatch: product dim {x.dim}, vector {y.shape}")
-    z = y.reshape((x.letter_dim,) * x.n)
-    for f in x.factors:
-        z = np.tensordot(f.conj(), z, axes=(0, 0))
-    return complex(z)

@@ -25,6 +25,7 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
 from .errors import ResourceBudgetError, ValidationError
+from .linalg import digit_table, product_entries
 
 _WINDOW_WIDEN = 1e-9
 _FREQ_WIDEN = 1e-12
@@ -63,15 +64,6 @@ class TypicalityParams:
         return self.delta if self.delta_cond is None else self.delta_cond
 
 
-def digit_table(d: int, n: int) -> np.ndarray:
-    """(d^n, n) table of base-d digits; letter 1 is the most significant digit."""
-    idx = np.arange(d**n)
-    digits = np.empty((d**n, n), dtype=np.int16)
-    for i in range(n):
-        digits[:, i] = (idx // d ** (n - 1 - i)) % d
-    return digits
-
-
 def is_typical_sequence(priors, seq, delta_source: float) -> bool:
     """Frequency-typicality membership test, no enumeration."""
     p = np.asarray(priors, dtype=float)
@@ -80,26 +72,29 @@ def is_typical_sequence(priors, seq, delta_source: float) -> bool:
     return bool(np.all(np.abs(counts / n - p) <= delta_source + _FREQ_WIDEN))
 
 
-def _admissible_types(p: np.ndarray, n: int, delta: float) -> list[tuple[int, ...]]:
-    """Count vectors t (sum n) with |t_j/n - p_j| <= delta for every letter."""
+def _bounded_counts(targets, n_total: int, delta: float, size: int) -> list[tuple[int, ...]]:
+    """Count vectors m (sum ``size``) with |m_k/n_total - targets_k| <= delta for every k.
+
+    Vectors come out in lexicographic order.
+    """
     bounds = []
-    for pj in p:
-        lo = math.ceil(n * (pj - delta) - _FREQ_WIDEN * n)
-        hi = math.floor(n * (pj + delta) + _FREQ_WIDEN * n)
-        bounds.append((max(lo, 0), min(hi, n)))
+    for t in targets:
+        lo = math.ceil(n_total * (t - delta) - _FREQ_WIDEN * n_total)
+        hi = math.floor(n_total * (t + delta) + _FREQ_WIDEN * n_total)
+        bounds.append((max(lo, 0), min(hi, size)))
     out: list[tuple[int, ...]] = []
 
-    def rec(j: int, remaining: int, acc: list[int]):
-        if j == len(bounds) - 1:
-            lo, hi = bounds[j]
+    def rec(k: int, remaining: int, acc: list[int]):
+        if k == len(bounds) - 1:
+            lo, hi = bounds[k]
             if lo <= remaining <= hi:
                 out.append(tuple(acc + [remaining]))
             return
-        lo, hi = bounds[j]
-        for t in range(lo, min(hi, remaining) + 1):
-            rec(j + 1, remaining - t, acc + [t])
+        lo, hi = bounds[k]
+        for m in range(lo, min(hi, remaining) + 1):
+            rec(k + 1, remaining - m, acc + [m])
 
-    rec(0, n, [])
+    rec(0, size, [])
     return out
 
 
@@ -147,7 +142,7 @@ class TypicalSet:
 def typical_set_size(priors, n: int, delta_source: float) -> int:
     """Cardinality of the frequency-typical set, without enumerating it."""
     p = np.asarray(priors, dtype=float)
-    return sum(_multinomial(n, t) for t in _admissible_types(p, n, delta_source))
+    return sum(_multinomial(n, t) for t in _bounded_counts(p, n, delta_source, n))
 
 
 def classical_typical_set(
@@ -155,7 +150,7 @@ def classical_typical_set(
 ) -> TypicalSet:
     """Exact enumeration of letter sequences with typical empirical frequencies."""
     p = np.asarray(priors, dtype=float)
-    types = _admissible_types(p, n, delta_source)
+    types = _bounded_counts(p, n, delta_source, n)
     size = sum(_multinomial(n, t) for t in types)
     if size > budgets.set_limit:
         raise ResourceBudgetError(
@@ -217,28 +212,8 @@ class _ClassBlockCache:
         return sum(_multinomial(size, m) for m in self._count_vectors(letter, size))
 
     def _count_vectors(self, letter: int, size: int) -> list[tuple[int, ...]]:
-        spectrum = self.ch.letters[letter]
-        pj = float(self.ch.priors[letter])
-        targets = pj * spectrum.probs
-        bounds = []
-        for t in targets:
-            lo = math.ceil(self.n_total * (t - self.delta) - _FREQ_WIDEN * self.n_total)
-            hi = math.floor(self.n_total * (t + self.delta) + _FREQ_WIDEN * self.n_total)
-            bounds.append((max(lo, 0), min(hi, size)))
-        out: list[tuple[int, ...]] = []
-
-        def rec(k: int, remaining: int, acc: list[int]):
-            if k == len(bounds) - 1:
-                lo, hi = bounds[k]
-                if lo <= remaining <= hi:
-                    out.append(tuple(acc + [remaining]))
-                return
-            lo, hi = bounds[k]
-            for m in range(lo, min(hi, remaining) + 1):
-                rec(k + 1, remaining - m, acc + [m])
-
-        rec(0, size, [])
-        return out
+        targets = float(self.ch.priors[letter]) * self.ch.letters[letter].probs
+        return _bounded_counts(targets, self.n_total, self.delta, size)
 
     def block(self, letter: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         key = (letter, size)
@@ -524,10 +499,7 @@ def build_rho_tilde(
             )
         labels, probs = _assemble_labels(ch, row, cache)
         p_seq = math.exp(float(seq_logp[row.astype(int)].sum()))
-        cols = np.ones((dim_h, labels.shape[0]), dtype=complex)
-        for i in range(n):
-            u = ch.coords[int(row[i])]
-            cols *= u[model.masked_digits[:, i].astype(int)][:, labels[:, i].astype(int)]
+        cols = product_entries([ch.coords[int(j)] for j in row], model.masked_digits, labels)
         pending_cols.append(cols)
         pending_w.append(p_seq * probs)
         pending_total += labels.shape[0]

@@ -39,13 +39,13 @@ from cqdec.decoder import (
     build_plan,
     build_povm,
     exact_error_probability,
-    full_product_coords,
     simulate_trial,
     transcript_probability,
     verify_mixture_identity,
 )
 from cqdec.errors import ResourceBudgetError
 from cqdec.experiments import point_seed
+from cqdec.linalg import digit_table, product_entries
 from cqdec.typicality import (
     TypicalityParams,
     build_rho_tilde,
@@ -55,6 +55,12 @@ from cqdec.typicality import (
 
 COS45 = math.cos(math.pi / 4)
 FIXTURES = fixture_channels()
+
+
+def full_coords(ch, word, labels):
+    """The product eigenvector |labels>_word at all d^n digit rows."""
+    mats = [ch.coords[int(j)] for j in word]
+    return product_entries(mats, digit_table(ch.letter_dim, len(word)), np.array([labels]))[:, 0]
 
 
 def record(number: int, name: str, ok: bool, detail: str = ""):
@@ -142,7 +148,7 @@ def test_criterion_05_chain_vs_povm():
     worst = 0.0
     for word in set(cb.codewords):
         labels = (0,) * n
-        psi = full_product_coords(ch, word, labels)
+        psi = full_coords(ch, word, labels)
         for idx in range(plan.num_tests):
             chain_p = transcript_probability(plan, ch, word, labels, idx)
             povm_p = float((psi.conj() @ povm.element(idx) @ psi).real)
@@ -152,8 +158,8 @@ def test_criterion_05_chain_vs_povm():
     # Monte Carlo: decode histogram for a fixed sent message vs exact masses
     true_index = 0
     rho = np.outer(
-        full_product_coords(ch, cb.codewords[true_index], (0,) * n),
-        full_product_coords(ch, cb.codewords[true_index], (0,) * n).conj(),
+        full_coords(ch, cb.codewords[true_index], (0,) * n),
+        full_coords(ch, cb.codewords[true_index], (0,) * n).conj(),
     )
     exact_decode = np.zeros(cb.num_messages)
     for idx in range(plan.num_tests):

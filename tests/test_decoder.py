@@ -16,13 +16,12 @@ from cqdec.decoder import (
     build_plan,
     build_povm,
     exact_error_probability,
-    full_product_coords,
     simulate_trial,
-    subspace_variant_projectors,
     transcript_probability,
     verify_mixture_identity,
 )
 from cqdec.errors import ValidationError
+from cqdec.linalg import digit_table, product_entries
 from cqdec.typicality import (
     TypicalityParams,
     build_rho_tilde,
@@ -38,6 +37,17 @@ def wide_params(n, **kw):
     return TypicalityParams(n=n, delta=2.0, delta_source=2.0, delta_cond=2.0, **kw)
 
 
+def full_coords(ch, word, labels):
+    """The product eigenvector |labels>_word at all d^n digit rows."""
+    return full_product_block(ch, word, np.array([labels]))[:, 0]
+
+
+def full_product_block(ch, word, labels):
+    """Product eigenvectors |labels[i]>_word as columns, at all d^n digit rows."""
+    mats = [ch.coords[int(j)] for j in word]
+    return product_entries(mats, digit_table(ch.letter_dim, len(word)), labels)
+
+
 def dense_chain_operator(plan, m):
     """Oracle: P (1-P_m) P ... P (1-P_1) P as an explicit matrix product."""
     ch = plan.channel
@@ -47,7 +57,7 @@ def dense_chain_operator(plan, m):
     eye = np.eye(dim, dtype=complex)
     for idx in range(m):
         t = plan.tests[idx]
-        phi = full_product_coords(ch, t.codeword, t.labels)
+        phi = full_coords(ch, t.codeword, t.labels)
         op = p_mat @ (eye - np.outer(phi, phi.conj())) @ op
     return op
 
@@ -172,7 +182,7 @@ class TestAmplitudeChain:
         labels = (0,) * 6
         amp = amplitude_chain(plan, ch, word, labels, 0)
         # oracle: <k|P|k> = sum of masked squared components
-        psi = full_product_coords(ch, word, labels)
+        psi = full_coords(ch, word, labels)
         expected = float((np.abs(psi[plan.model.mask]) ** 2).sum())
         assert abs(amp - expected) < 1e-12
 
@@ -195,7 +205,7 @@ class TestAmplitudeChain:
         plan = build_plan(cb, ch, params)
         word = cb.codewords[0]
         labels = (0, 0, 0)
-        psi = full_product_coords(ch, word, labels)
+        psi = full_coords(ch, word, labels)
         for m in range(plan.num_tests + 1):
             op = dense_chain_operator(plan, m)
             expected = complex(psi.conj() @ op @ psi)
@@ -295,7 +305,7 @@ class TestPOVM:
         povm = build_povm(plan)
         # oracle: E_1 = P P_1 P built directly
         p_mat = np.diag(plan.model.mask.astype(complex))
-        phi = full_product_coords(ch, plan.tests[0].codeword, plan.tests[0].labels)
+        phi = full_coords(ch, plan.tests[0].codeword, plan.tests[0].labels)
         e1 = p_mat @ np.outer(phi, phi.conj()) @ p_mat
         assert np.abs(povm.element(0) - e1).max() < 1e-12
         assert np.abs(povm.abort - (np.eye(8) - e1)).max() < 1e-12
@@ -326,7 +336,7 @@ class TestPOVM:
         for s in range(cb.num_messages):
             word = cb.codewords[s]
             labels = (0,) * 4
-            psi = full_product_coords(ch, word, labels)
+            psi = full_coords(ch, word, labels)
             for idx in range(plan.num_tests):
                 born = transcript_probability(plan, ch, word, labels, idx)
                 exact = float((psi.conj() @ povm.element(idx) @ psi).real)
@@ -419,9 +429,9 @@ class TestSubspaceVariant:
     def test_rank_equals_conditional_set_size(self):
         ch = builtin_channel("depolarized_pair", overlap=0.3, noise=0.4)
         cb = sample_codebook(ch, 4, 0.25, 0.3, seed=23)
-        bases = subspace_variant_projectors(ch, cb, 0.3)
-        for word, q in zip(cb.codewords, bases):
+        for word in cb.codewords:
             cts = conditional_typical_outputs(ch, word, 0.3)
+            q = full_product_block(ch, word, cts.labels)
             assert q.shape[1] == cts.count
             # oracle: orthonormalization rank of the raw columns
             assert np.linalg.matrix_rank(q, tol=1e-10) == cts.count
@@ -431,8 +441,8 @@ class TestSubspaceVariant:
     def test_classical_projectors_are_diagonal_masks(self):
         ch = builtin_channel("classical_bit")
         cb = sample_codebook(ch, 3, 0.4, 2.0, seed=24)
-        bases = subspace_variant_projectors(ch, cb, 2.0)
-        for q in bases:
+        for word in cb.codewords:
+            q = full_product_block(ch, word, conditional_typical_outputs(ch, word, 2.0).labels)
             proj = q @ q.conj().T
             off = proj - np.diag(np.diag(proj))
             assert np.abs(off).max() < 1e-12

@@ -69,6 +69,17 @@ class TestRunPoint:
         assert res.status == "skipped"
         assert res.reason == "dim"
 
+    def test_empty_window_reason(self):
+        # pure_pair(cos pi/4) at n = 4, delta = 0.2 has an empty typical window
+        cfg = make_config(overlap=0.70710678118654752, delta=0.2)
+        ch = builtin_channel("pure_pair", overlap=0.70710678118654752)
+        res = run_point(ch, cfg, 4, 0.25, "rank_one", seed=99)
+        assert res.dim_h == 0
+        assert (res.status, res.reason, res.err) == ("ok", "empty_window", 1.0)
+        res = run_point(ch, cfg, 6, 0.25, "subspace", seed=99)
+        assert res.dim_h > 0
+        assert (res.status, res.reason) == ("ok", "")
+
     def test_exact_never_policy(self):
         cfg = make_config(exact="never")
         ch = builtin_channel("pure_pair", overlap=0.5)

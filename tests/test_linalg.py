@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cqdec.budgets import Budgets
-from cqdec.errors import ResourceBudgetError, ValidationError
+from cqdec.errors import ValidationError
 from cqdec.linalg import (
-    ProductVector,
-    expand,
-    product_inner,
-    product_vector,
     shannon_entropy,
     spectral_decompose,
     von_neumann_entropy,
@@ -109,55 +104,3 @@ class TestEntropies:
         with pytest.raises(ValidationError):
             shannon_entropy([1.2, -0.2])
 
-
-class TestProductVectors:
-    def test_expand_single_factor(self):
-        v = product_vector([[0.6, 0.8]])
-        assert np.allclose(expand(v), [0.6, 0.8])
-
-    def test_expand_basis_bookkeeping(self):
-        v = product_vector([[1, 0], [0, 1]])  # |0> kron |1>
-        assert np.allclose(expand(v), [0, 1, 0, 0])
-
-    def test_expand_hand_case(self):
-        s = 1 / math.sqrt(2)
-        v = product_vector([[s, s], [1, 0]])
-        assert np.allclose(expand(v), [s, 0, s, 0])
-
-    def test_expand_budget(self):
-        v = product_vector([[1, 0]] * 4)
-        with pytest.raises(ResourceBudgetError):
-            expand(v, budgets=Budgets(dim_limit=8))
-
-    def test_inner_basis_cases(self):
-        x = product_vector([[1, 0], [1, 0]])
-        y = expand(product_vector([[1, 0], [1, 0]]))
-        assert product_inner(x, y) == pytest.approx(1.0)
-        x01 = product_vector([[1, 0], [0, 1]])
-        y10 = expand(product_vector([[0, 1], [1, 0]]))
-        assert product_inner(x01, y10) == pytest.approx(0.0)
-
-    def test_inner_matches_naive_expansion(self, rng):
-        # oracle: dense kron expansion then vdot
-        for _ in range(20):
-            factors = [random_state(rng, 2) for _ in range(3)]
-            x = ProductVector(tuple(factors))
-            y = rng.normal(size=8) + 1j * rng.normal(size=8)
-            naive = np.kron(np.kron(factors[0], factors[1]), factors[2])
-            assert abs(product_inner(x, y) - np.vdot(naive, y)) < 1e-12
-
-    def test_inner_self_is_one(self, rng):
-        for _ in range(10):
-            x = ProductVector(tuple(random_state(rng, 3) for _ in range(3)))
-            assert abs(product_inner(x, expand(x)) - 1.0) < 1e-12
-
-    def test_inner_dimension_mismatch(self):
-        x = product_vector([[1, 0], [1, 0]])
-        with pytest.raises(ValidationError):
-            product_inner(x, np.zeros(8))
-
-    def test_factor_validation(self):
-        with pytest.raises(ValidationError):
-            product_vector([[1, 1]])  # not normalized
-        with pytest.raises(ValidationError):
-            ProductVector(())

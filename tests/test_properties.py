@@ -1,0 +1,100 @@
+"""Property tests over random channels with letter dimension d in {2, 3}.
+
+The product kernel is checked against chained np.kron, and the POVM that
+build_povm assembles on the typical subspace against the no-chain run on the
+full d^n space, for both decoder variants.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cqdec.channel import make_channel
+from cqdec.codebook import Codebook
+from cqdec.decoder import build_plan, build_povm
+from cqdec.linalg import digit_table, product_entries
+from cqdec.typicality import TypicalityParams, conditional_typical_outputs
+
+from conftest import random_density
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@st.composite
+def kron_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 4 if d == 2 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n)]
+    rows = draw(st.lists(st.integers(0, d**n - 1), max_size=2 * d**n))
+    cols = draw(st.lists(st.integers(0, d**n - 1), max_size=2 * d**n))
+    return mats, np.array(rows, dtype=int), np.array(cols, dtype=int)
+
+
+@st.composite
+def plan_cases(draw):
+    """A random channel, a random codebook and typicality windows from tight to wide."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 4 if d == 2 else 3))
+    letters = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = [draw(st.integers(1, d)) for _ in range(letters)]
+    priors = rng.dirichlet(np.ones(letters)) * 0.9 + 0.1 / letters
+    ch = make_channel(priors, [random_density(rng, d, r) for r in ranks])
+    words = draw(st.lists(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n),
+                          min_size=1, max_size=4))
+    codebook = Codebook(n=n, rate=0.0, seed=0, delta_source=2.0, distinct=False,
+                        codewords=tuple(tuple(w) for w in words))
+    params = TypicalityParams(n=n, delta=draw(st.sampled_from((0.2, 0.5, 2.0))),
+                              delta_cond=draw(st.sampled_from((0.2, 0.5, 2.0))))
+    variant = draw(st.sampled_from(("rank_one", "subspace")))
+    return build_plan(codebook, ch, params, variant=variant), params
+
+
+def dense_chain_elements(plan, params):
+    """POVM elements from C_1 = P, C_(l+1) = P (1 - P_l) C_l on the full d^n space."""
+    ch, model = plan.channel, plan.model
+    digits = digit_table(ch.letter_dim, model.n)
+    p = np.diag(model.mask.astype(complex))
+    chain = p.copy()
+    elements = []
+    for t in plan.tests:
+        labels = (np.array([t.labels]) if t.labels is not None
+                  else conditional_typical_outputs(ch, t.codeword, params.cond_delta).labels)
+        q = product_entries([ch.coords[j] for j in t.codeword], digits, labels)
+        w = chain.conj().T @ q
+        elements.append(w @ w.conj().T)
+        chain = p @ (chain - q @ (q.conj().T @ chain))
+    return elements, np.eye(model.dim_total) - sum(elements, np.zeros_like(p))
+
+
+@SETTINGS
+@given(kron_cases())
+def test_product_entries_is_a_block_of_the_kron_product(case):
+    mats, rows, cols = case
+    dense = mats[0]
+    for m in mats[1:]:
+        dense = np.kron(dense, m)
+    d, n = mats[0].shape[0], len(mats)
+    block = product_entries(mats, digit_table(d, n)[rows], digit_table(d, n)[cols])
+    assert block.shape == (rows.size, cols.size)
+    assert np.array_equal(block, dense[np.ix_(rows, cols)])
+
+
+@SETTINGS
+@given(plan_cases())
+def test_povm_on_h_matches_the_full_space_chain(case):
+    plan, params = case
+    povm = build_povm(plan)
+    elements, abort = dense_chain_elements(plan, params)
+    assert povm.num_elements == len(elements)
+    for i, e in enumerate(elements):
+        assert np.abs(povm.element(i) - e).max() <= 1e-12
+    assert np.abs(povm.abort - abort).max() <= 1e-12
+
+
+@SETTINGS
+@given(plan_cases())
+def test_povm_is_complete_and_positive(case):
+    povm = build_povm(case[0])
+    assert povm.completeness_defect() <= 1e-9
+    assert povm.min_element_eigenvalue() >= -1e-10

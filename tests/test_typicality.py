@@ -7,13 +7,13 @@ import pytest
 from cqdec.budgets import Budgets
 from cqdec.channel import builtin_channel, fixture_channels, make_channel
 from cqdec.errors import ResourceBudgetError, ValidationError
+from cqdec.linalg import digit_table
 from cqdec.typicality import (
     TypicalityParams,
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
     conditional_typical_outputs,
-    digit_table,
     is_typical_sequence,
     subordination_gap,
     typical_set_size,
