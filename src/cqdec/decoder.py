@@ -222,6 +222,8 @@ def simulate_trial(
     spectral weights; every measurement renormalizes the post-measurement
     state, treating branches of squared norm below 1e-14 as impossible.
     """
+    if ch is not plan.channel:
+        raise ValidationError("ch is not the channel the plan was built for")
     if rng is None:
         rng = np.random.default_rng()
     if params is not None and params.n != plan.model.n:
@@ -275,6 +277,8 @@ def transcript_probability(
     (all typicality checks pass, every earlier test answers no), multiplying
     the branch probabilities.
     """
+    if ch is not plan.channel:
+        raise ValidationError("ch is not the channel the plan was built for")
     if not 0 <= test_index < plan.num_tests:
         raise ValidationError(f"test_index {test_index} out of range")
     psi = plan.masked_state(j_seq, labels)
@@ -305,6 +309,8 @@ def amplitude_chain(plan: DecoderPlan, ch: CQChannel, j_seq, labels, m: int) -> 
     This is the surviving amplitude after m "no" answers with every
     typicality projection applied, evaluated without any renormalization.
     """
+    if ch is not plan.channel:
+        raise ValidationError("ch is not the channel the plan was built for")
     if m < 0 or m > plan.num_tests:
         raise ValidationError(f"m must be in [0, {plan.num_tests}]")
     bra = plan.masked_state(j_seq, labels)
@@ -387,10 +393,10 @@ def verify_mixture_identity(
 ) -> float:
     """Max-abs deviation between sum_l pi_l P P_l P and rho_tilde.
 
-    The left side is rebuilt pair by pair from the full d^n-dimensional
-    product eigenvectors of every (typical sequence, conditional label) pair,
-    one outer product each; the right side comes from build_rho_tilde's
-    batched masked path.
+    The left side is rebuilt from the full d^n-dimensional product eigenvectors
+    of every (typical sequence, conditional label) pair: one weighted product
+    V diag(p_seq * p_labels) V^dagger per sequence over its masked (d^n, count)
+    block V.  The right side comes from build_rho_tilde's batched masked path.
     """
     model = build_typical_model(ch, params, budgets)
     rho_tilde = build_rho_tilde(ch, params, model, budgets)
@@ -402,7 +408,7 @@ def verify_mixture_identity(
     tset = classical_typical_set(ch.priors, params.n, params.source_delta, budgets)
     log_priors = np.log(ch.priors)
     lhs = np.zeros((dim, dim), dtype=complex)
-    mask = model.mask
+    outside = ~model.mask
     digits = digit_table(ch.letter_dim, params.n)
     pairs = 0
     for row in tset.sequences:
@@ -418,14 +424,12 @@ def verify_mixture_identity(
             )
         p_seq = math.exp(float(log_priors[row.astype(int)].sum()))
         vecs = product_entries([ch.coords[int(j)] for j in row], digits, cts.labels)
-        for i in range(cts.count):
-            masked_vec = np.where(mask, vecs[:, i], 0.0)
-            lhs += (p_seq * float(cts.probs[i])) * np.outer(masked_vec, masked_vec.conj())
-    ix = model.masked_indices
-    lhs_masked = lhs[np.ix_(ix, ix)]
+        vecs[outside] = 0.0
+        lhs += (vecs * (p_seq * cts.probs)) @ vecs.conj().T
     if model.dim_H == 0:
         return float(np.abs(lhs).max()) if lhs.size else 0.0
-    return float(np.abs(lhs_masked - rho_tilde.as_dense()).max())
+    ix = model.masked_indices
+    return float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde.as_dense()).max())
 
 
 def transcript_to_text(tr: Transcript) -> str:
@@ -461,8 +465,9 @@ class POVMSet:
 
     Element l is W_l W_l^dagger for a (d^n, r) block W_l, with r = 1 for a
     rank-one test; build_povm computes each block on the typical subspace, so
-    its rows outside it are zero.  The abort element is dense.  Everything is
-    in the average-state product eigenbasis.
+    its rows outside it are zero.  The abort element is dense; element l's
+    spectrum is that of its r x r Gram matrix W_l^dagger W_l plus dim - r
+    exact zeros.  Everything is in the average-state product eigenbasis.
     """
 
     plan: DecoderPlan
@@ -488,12 +493,16 @@ class POVMSet:
             total += self.element(i)
         return float(np.abs(total - np.eye(self.dim)).max())
 
+    def element_min_eigenvalue(self, index: int) -> float:
+        """Smallest eigenvalue of W W^dagger: the spectrum of W^dagger W plus dim - r zeros."""
+        w = self.blocks[index]
+        lam = np.linalg.eigvalsh(w.conj().T @ w)  # empty when r = 0
+        return float(lam.min(initial=0.0 if w.shape[1] < self.dim else np.inf))
+
     def min_element_eigenvalue(self) -> float:
-        """Smallest eigenvalue over all elements including the abort element."""
+        """Smallest eigenvalue over all elements; only the abort element is dense."""
         worst = float(np.linalg.eigvalsh(self.abort).min())
-        for i in range(self.num_elements):
-            worst = min(worst, float(np.linalg.eigvalsh(self.element(i)).min()))
-        return worst
+        return min([worst] + [self.element_min_eigenvalue(i) for i in range(self.num_elements)])
 
 
 def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet:

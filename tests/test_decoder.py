@@ -225,6 +225,32 @@ class TestAmplitudeChain:
             assert b <= a + 1e-12
 
 
+class TestChannelMismatch:
+    """The chain reads its states from plan.channel, so any other ch is refused."""
+
+    @pytest.fixture
+    def case(self):
+        ch = builtin_channel("pure_pair", overlap=COS45)
+        cb = sample_codebook(ch, 4, 0.5, 0.3, seed=7)
+        plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
+        return plan, builtin_channel("pure_pair", overlap=0.5), cb.codewords[0], (0,) * 4
+
+    def test_simulate_trial(self, case, rng):
+        plan, other, _, _ = case
+        with pytest.raises(ValidationError):
+            simulate_trial(plan, other, 0, rng=rng)
+
+    def test_transcript_probability(self, case):
+        plan, other, word, labels = case
+        with pytest.raises(ValidationError):
+            transcript_probability(plan, other, word, labels, 0)
+
+    def test_amplitude_chain(self, case):
+        plan, other, word, labels = case
+        with pytest.raises(ValidationError):
+            amplitude_chain(plan, other, word, labels, 0)
+
+
 class TestAverageAmplitude:
     def test_m_zero_both_forms_are_trace(self):
         ch = builtin_channel("pure_pair", overlap=COS45)

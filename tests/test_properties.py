@@ -1,18 +1,29 @@
 """Property tests over random channels with letter dimension d in {2, 3}.
 
-The product kernel is checked against chained np.kron, and the POVM that
+The product kernel is checked against chained np.kron, the POVM that
 build_povm assembles on the typical subspace against the no-chain run on the
-full d^n space, for both decoder variants.
+full d^n space, for both decoder variants, each element's Gram-form minimum
+eigenvalue against a dense diagonalization, and the batched mixture identity
+against a pair-by-pair outer-product accumulation.
 """
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqdec.channel import make_channel
 from cqdec.codebook import Codebook
-from cqdec.decoder import build_plan, build_povm
+from cqdec.decoder import build_plan, build_povm, verify_mixture_identity
 from cqdec.linalg import digit_table, product_entries
-from cqdec.typicality import TypicalityParams, conditional_typical_outputs
+from cqdec.typicality import (
+    TypicalityParams,
+    build_rho_tilde,
+    build_typical_model,
+    classical_typical_set,
+    conditional_typical_outputs,
+)
 
 from conftest import random_density
 
@@ -31,15 +42,22 @@ def kron_cases(draw):
 
 
 @st.composite
-def plan_cases(draw):
-    """A random channel, a random codebook and typicality windows from tight to wide."""
+def channel_cases(draw):
+    """A random channel of 1-3 letters with random ranks, and a block length n."""
     d = draw(st.sampled_from((2, 3)))
     n = draw(st.integers(2, 4 if d == 2 else 3))
     letters = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ranks = [draw(st.integers(1, d)) for _ in range(letters)]
     priors = rng.dirichlet(np.ones(letters)) * 0.9 + 0.1 / letters
-    ch = make_channel(priors, [random_density(rng, d, r) for r in ranks])
+    return make_channel(priors, [random_density(rng, d, r) for r in ranks]), n
+
+
+@st.composite
+def plan_cases(draw):
+    """A random channel, a random codebook and typicality windows from tight to wide."""
+    ch, n = draw(channel_cases())
+    letters = ch.alphabet_size
     words = draw(st.lists(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n),
                           min_size=1, max_size=4))
     codebook = Codebook(n=n, rate=0.0, seed=0, delta_source=2.0, distinct=False,
@@ -97,4 +115,64 @@ def test_povm_on_h_matches_the_full_space_chain(case):
 def test_povm_is_complete_and_positive(case):
     povm = build_povm(case[0])
     assert povm.completeness_defect() <= 1e-9
+    assert povm.min_element_eigenvalue() >= -1e-10
+
+
+def pairwise_mixture(ch, params, model):
+    """sum_l pi_l P P_l P on the full d^n space, one np.outer per (sequence, label) pair."""
+    digits = digit_table(ch.letter_dim, params.n)
+    lhs = np.zeros((model.dim_total, model.dim_total), dtype=complex)
+    for row in classical_typical_set(ch.priors, params.n, params.source_delta).sequences:
+        cts = conditional_typical_outputs(ch, row, params.cond_delta)
+        p_seq = math.exp(float(np.log(ch.priors)[row.astype(int)].sum()))
+        vecs = product_entries([ch.coords[int(j)] for j in row], digits, cts.labels)
+        for i in range(cts.count):
+            v = np.where(model.mask, vecs[:, i], 0.0)
+            lhs += (p_seq * float(cts.probs[i])) * np.outer(v, v.conj())
+    return lhs
+
+
+@SETTINGS
+@given(channel_cases(), st.sampled_from((0.2, 0.5, 2.0)), st.sampled_from((0.2, 0.5, 2.0)),
+       st.sampled_from((0.2, 0.5, 2.0)))
+def test_batched_mixture_identity_matches_the_pairwise_sum(case, delta, delta_source, delta_cond):
+    ch, n = case
+    params = TypicalityParams(n=n, delta=delta, delta_source=delta_source, delta_cond=delta_cond)
+    model = build_typical_model(ch, params)
+    lhs = pairwise_mixture(ch, params, model)
+    if model.dim_H == 0:
+        reference = float(np.abs(lhs).max())
+    else:
+        ix = model.masked_indices
+        rho_tilde = build_rho_tilde(ch, params, model).as_dense()
+        reference = float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde).max())
+    batched = verify_mixture_identity(ch, params)
+    assert abs(batched - reference) <= 1e-12
+    assert batched <= 1e-10 and reference <= 1e-10
+
+
+@SETTINGS
+@given(plan_cases())
+def test_gram_element_minimum_matches_dense_eigvalsh(case):
+    povm = build_povm(case[0])
+    for i in range(povm.num_elements):
+        dense = float(np.linalg.eigvalsh(povm.element(i)).min())
+        assert abs(povm.element_min_eigenvalue(i) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("n, delta_cond, rank", [(3, 0.0, 0), (2, 0.0, 2), (2, 2.0, 4)])
+def test_gram_element_minimum_fixed_block_ranks(n, delta_cond, rank):
+    # one flat-qubit letter: at delta_cond = 0 only balanced label sequences
+    # are admissible, none at odd n, so the single subspace test has r = 0
+    # columns at n = 3 and r = 2 at n = 2; delta_cond = 2 admits all d^n = 4
+    ch = make_channel([1.0], [np.eye(2) / 2])
+    word = (0,) * n
+    codebook = Codebook(n=n, rate=0.0, seed=0, delta_source=2.0, distinct=False,
+                        codewords=(word,))
+    plan = build_plan(codebook, ch, TypicalityParams(n=n, delta=2.0, delta_cond=delta_cond),
+                      variant="subspace")
+    povm = build_povm(plan)
+    assert povm.blocks[0].shape[1] == rank
+    dense = float(np.linalg.eigvalsh(povm.element(0)).min())
+    assert povm.element_min_eigenvalue(0) == pytest.approx(dense, abs=1e-12)
     assert povm.min_element_eigenvalue() >= -1e-10
