@@ -36,16 +36,6 @@ def parse_kv_text(text: str) -> dict:
     return doc
 
 
-def format_kv_text(doc: dict) -> str:
-    lines = []
-    for key, value in doc.items():
-        if isinstance(value, str):
-            lines.append(f"{key} = {value}")
-        else:
-            lines.append(f"{key} = {json.dumps(value)}")
-    return "\n".join(lines) + "\n"
-
-
 _CONFIG_KEYS = {
     "channel",
     "channel_file",

@@ -561,7 +561,13 @@ class ErrorReport:
 
 
 def exact_error_probability(povm: POVMSet, ch: CQChannel, codebook: Codebook) -> ErrorReport:
-    """Average error probability of the full POVM on the exact product outputs."""
+    """Average error probability of the full POVM on the exact product outputs.
+
+    Every element column b gives the mass <b|rho_s|b>, read for all K columns
+    at once from one (K, d^n) @ (d^n, d^n) product per message.
+    """
+    if ch is not povm.plan.channel:
+        raise ValidationError("ch is not the channel the POVM was built for")
     if povm.plan.codebook != codebook:
         raise ValidationError("POVM was built for a different codebook")
     n_msg = codebook.num_messages
@@ -571,12 +577,13 @@ def exact_error_probability(povm: POVMSet, ch: CQChannel, codebook: Codebook) ->
         basis = np.concatenate(povm.blocks, axis=1).T.copy()
     else:
         basis = np.zeros((0, povm.dim), complex)
+    bconj = basis.conj()
     success = np.zeros(n_msg)
     misdecode = np.zeros(n_msg)
     abort = np.zeros(n_msg)
     for s in range(n_msg):
         rho = product_output_state(ch, codebook.codewords[s])
-        vals = np.einsum("ij,jk,ik->i", basis.conj(), rho, basis).real
+        vals = np.einsum("ik,ik->i", bconj @ rho, basis).real
         mine = float(vals[owner == s].sum())
         everything = float(vals.sum())
         success[s] = mine

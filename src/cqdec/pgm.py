@@ -48,8 +48,9 @@ class PGMSet:
         return worst
 
     def success_probabilities(self) -> np.ndarray:
+        """Tr(G_s rho_s) for every message, as vdot(G_s, rho_s) since G_s is Hermitian."""
         return np.array(
-            [float(np.trace(g @ rho).real) for g, rho in zip(self.elements, self.outputs)]
+            [float(np.vdot(g, rho).real) for g, rho in zip(self.elements, self.outputs)]
         )
 
 

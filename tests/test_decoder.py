@@ -250,6 +250,11 @@ class TestChannelMismatch:
         with pytest.raises(ValidationError):
             amplitude_chain(plan, other, word, labels, 0)
 
+    def test_exact_error_probability(self, case):
+        plan, other, _, _ = case
+        with pytest.raises(ValidationError):
+            exact_error_probability(build_povm(plan), other, plan.codebook)
+
 
 class TestAverageAmplitude:
     def test_m_zero_both_forms_are_trace(self):

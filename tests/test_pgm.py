@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cqdec.channel import builtin_channel
+from cqdec.channel import builtin_channel, fixture_channels
 from cqdec.codebook import Codebook, sample_codebook
 from cqdec.pgm import build_pgm, pgm_error_probability
 
@@ -48,3 +48,12 @@ class TestPGM:
         probs = pgm.success_probabilities()
         # identical outputs: the PGM splits the shared state evenly
         assert np.allclose(probs, 0.5, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(fixture_channels()))
+    def test_success_probabilities_match_the_trace_of_the_product(self, name):
+        # oracle: Tr(G_s rho_s) from the full d^n x d^n product
+        ch = fixture_channels()[name]
+        cb = sample_codebook(ch, 4, 0.5, 2.0, seed=4)
+        pgm = build_pgm(ch, cb)
+        dense = [float(np.trace(g @ rho).real) for g, rho in zip(pgm.elements, pgm.outputs)]
+        assert np.abs(pgm.success_probabilities() - dense).max() <= 1e-12

@@ -3,9 +3,12 @@
 The product kernel is checked against chained np.kron, the POVM that
 build_povm assembles on the typical subspace against the no-chain run on the
 full d^n space, for both decoder variants, each element's Gram-form minimum
-eigenvalue against a dense diagonalization, and the batched mixture identity
-against a pair-by-pair outer-product accumulation.
+eigenvalue against a dense diagonalization, the batched mixture identity
+against a pair-by-pair outer-product accumulation, and the exact oracle
+against the three-operand einsum it replaced and, per message, against the
+Born-rule chain summed over every label sequence.
 """
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqdec.channel import make_channel
-from cqdec.codebook import Codebook
-from cqdec.decoder import build_plan, build_povm, verify_mixture_identity
+from cqdec.channel import builtin_channel, make_channel
+from cqdec.codebook import Codebook, sample_codebook
+from cqdec.decoder import (
+    build_plan,
+    build_povm,
+    exact_error_probability,
+    product_output_state,
+    transcript_probability,
+    verify_mixture_identity,
+)
 from cqdec.linalg import digit_table, product_entries
 from cqdec.typicality import (
     TypicalityParams,
@@ -42,21 +52,21 @@ def kron_cases(draw):
 
 
 @st.composite
-def channel_cases(draw):
+def channel_cases(draw, min_rank=1):
     """A random channel of 1-3 letters with random ranks, and a block length n."""
     d = draw(st.sampled_from((2, 3)))
     n = draw(st.integers(2, 4 if d == 2 else 3))
     letters = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ranks = [draw(st.integers(1, d)) for _ in range(letters)]
+    ranks = [draw(st.integers(min_rank, d)) for _ in range(letters)]
     priors = rng.dirichlet(np.ones(letters)) * 0.9 + 0.1 / letters
     return make_channel(priors, [random_density(rng, d, r) for r in ranks]), n
 
 
 @st.composite
-def plan_cases(draw):
+def plan_cases(draw, min_rank=1):
     """A random channel, a random codebook and typicality windows from tight to wide."""
-    ch, n = draw(channel_cases())
+    ch, n = draw(channel_cases(min_rank))
     letters = ch.alphabet_size
     words = draw(st.lists(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n),
                           min_size=1, max_size=4))
@@ -176,3 +186,64 @@ def test_gram_element_minimum_fixed_block_ranks(n, delta_cond, rank):
     dense = float(np.linalg.eigvalsh(povm.element(0)).min())
     assert povm.element_min_eigenvalue(0) == pytest.approx(dense, abs=1e-12)
     assert povm.min_element_eigenvalue() >= -1e-10
+
+
+def einsum_masses(povm, ch, codebook):
+    """Per-message (success, abort, misdecode) from the unoptimised three-operand einsum."""
+    owner = np.repeat(np.array(povm.test_messages, dtype=int),
+                      [b.shape[1] for b in povm.blocks])
+    basis = (np.concatenate(povm.blocks, axis=1).T if povm.num_elements
+             else np.zeros((0, povm.dim), complex))
+    masses = []
+    for s, word in enumerate(codebook.codewords):
+        rho = product_output_state(ch, word)
+        vals = np.einsum("ij,jk,ik->i", basis.conj(), rho, basis).real
+        mine, everything = float(vals[owner == s].sum()), float(vals.sum())
+        masses.append((mine, 1.0 - everything, everything - mine))
+    return np.array(masses).T
+
+
+@SETTINGS
+@given(plan_cases())
+def test_oracle_matches_the_three_operand_einsum(case):
+    plan = case[0]
+    povm = build_povm(plan)
+    report = exact_error_probability(povm, plan.channel, plan.codebook)
+    success, abort, misdecode = einsum_masses(povm, plan.channel, plan.codebook)
+    assert np.abs(report.per_message_success - success).max() <= 1e-12
+    assert np.abs(report.per_message_abort - abort).max() <= 1e-12
+    assert np.abs(report.per_message_misdecode - misdecode).max() <= 1e-12
+
+
+def test_oracle_on_an_empty_window_is_a_certain_error():
+    # pure_pair(cos pi/4) at n = 4, delta = 0.2 has dim_H = 0, so every
+    # POVM column is zero and no message can be decoded
+    ch = builtin_channel("pure_pair", overlap=math.cos(math.pi / 4))
+    cb = sample_codebook(ch, 4, 0.3, 0.2, seed=7)
+    plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.2))
+    povm = build_povm(plan)
+    assert plan.model.dim_H == 0
+    assert not any(np.any(b) for b in povm.blocks)
+    assert exact_error_probability(povm, ch, cb).p_err == 1.0
+
+
+@SETTINGS
+@given(plan_cases(min_rank=2))
+def test_oracle_matches_the_born_chain_per_message(case):
+    # sum over every positive-probability label sequence of codeword s of
+    # p(labels) * P(no, ..., no, yes at test l | labels), grouped by the
+    # message of test l, is the POVM mass of that message on rho_s
+    plan = case[0]
+    ch, codebook = plan.channel, plan.codebook
+    report = exact_error_probability(build_povm(plan), ch, codebook)
+    messages = np.array([t.message for t in plan.tests], dtype=int)
+    for s, word in enumerate(codebook.codewords):
+        per_test = np.zeros(plan.num_tests)
+        spectra = [ch.letters[j].probs for j in word]
+        for labels in itertools.product(*(range(p.size) for p in spectra)):
+            weight = math.prod(float(p[k]) for p, k in zip(spectra, labels))
+            for idx in range(plan.num_tests):
+                per_test[idx] += weight * transcript_probability(plan, ch, word, labels, idx)
+        mine = float(per_test[messages == s].sum())
+        assert abs(report.per_message_success[s] - mine) <= 1e-10
+        assert abs(report.per_message_misdecode[s] - (per_test.sum() - mine)) <= 1e-10
