@@ -5,7 +5,8 @@ bounds the composite dimension d**n for anything that materializes dense
 operators or state vectors; ``set_limit`` bounds enumerated set sizes
 (typical sequences, conditional label sequences, codeword counts, and the
 total number of (sequence, label) pairs feeding an operator sum);
-``work_limit`` bounds the element count of dense intermediate matrices.
+``work_limit`` bounds the element count of dense intermediate matrices
+and the numbers a plan's Monte Carlo chain memo stores.
 
 Environment variables CQDEC_DIM_BUDGET, CQDEC_SET_BUDGET and
 CQDEC_WORK_BUDGET override the defaults.

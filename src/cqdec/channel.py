@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,20 @@ class CQChannel:
     def mean_letter_entropy(self) -> float:
         """sum_j p_j S(rho_j) in bits."""
         return float(self.priors @ self.letter_entropies)
+
+    @cached_property
+    def label_cdfs(self) -> tuple[list[float], ...]:
+        """Each letter's spectral CDF, normalised as ``rng.choice`` builds it.
+
+        ``cdf = probs.cumsum(); cdf /= cdf[-1]``, so the eigenlabel of a
+        uniform u is the count of entries <= u, exactly ``rng.choice``'s draw.
+        """
+        cdfs = []
+        for sp in self.letters:
+            cdf = sp.probs.cumsum()
+            cdf /= cdf[-1]
+            cdfs.append(cdf.tolist())
+        return tuple(cdfs)
 
 
 def _validate_density_matrix(m: np.ndarray, name: str) -> SpectralDecomposition:

@@ -15,6 +15,15 @@ components of its product eigenvectors, so the whole chain runs on
 dim(H)-sized vectors.  Every test has one format: the (dim_H, r) block of
 those components, with r = 1 for a rank-one test, and its adjoint.
 
+Given that every earlier test answered "no" and every typicality check
+passed, the state in front of test k depends only on the initial state, the
+product eigenvector of (codeword, labels).  A trial's randomness is its
+labels and its Born coin flips, so the plan memoises each initial state's
+chain of branch probabilities (see BornChain) and every trial that starts
+there walks it, extending it only when a trial goes deeper.  The labels are
+read from one block of uniforms through each letter's CDF, which consumes
+the generator exactly as one ``rng.choice`` per letter would.
+
 The POVM's no-chain C_1 = P, C_(l+1) = P (1 - P_l) C_l also maps H into H, so
 build_povm runs it as a dim_H x dim_H matrix and only places the finished
 elements into the full d^n space.
@@ -22,8 +31,11 @@ elements into the full d^n space.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +83,51 @@ class PlanTest:
     labels: tuple[int, ...] | None  # None for a subspace test
 
 
+class BornChain:
+    """Branch probabilities along one initial state's all-"no" path.
+
+    ``p_typ0`` is the opening typicality check's pass probability,
+    ``p_yes[k]`` test k's yes-probability on the state in front of it and
+    ``p_typ[k]`` the pass probability of the check after test k answered no;
+    both are clipped at 1.  ``psi`` is the normalised state in front of test
+    ``len(p_yes)``, or None once no walk can go deeper.
+    """
+
+    __slots__ = ("p_typ0", "p_yes", "p_typ", "psi", "stored")
+
+    def __init__(self, psi: np.ndarray):
+        self.p_typ0 = float(np.vdot(psi, psi).real)
+        self.psi = psi / math.sqrt(self.p_typ0) if self.p_typ0 >= _NORM_FLOOR else None
+        self.p_yes = array("d")
+        self.p_typ = array("d")
+        self.stored = False
+
+    def unstored_copy(self) -> "BornChain":
+        twin = copy.copy(self)
+        twin.p_yes, twin.p_typ, twin.stored = array("d", self.p_yes), array("d", self.p_typ), False
+        return twin
+
+
+class ChainMemo:
+    """The plan's Born chains, keyed by (codeword, labels).
+
+    ``size`` counts stored numbers: dim_H per state plus one per branch
+    probability.  It never passes ``limit``; past it, new states and deeper
+    steps run through the same chain code without being stored.
+    """
+
+    def __init__(self, limit: int = DEFAULT_BUDGETS.work_limit):
+        self.limit = limit
+        self.size = 0
+        self.chains: dict[tuple, BornChain] = {}
+
+    def reserve(self, count: int) -> bool:
+        if self.size + count > self.limit:
+            return False
+        self.size += count
+        return True
+
+
 @dataclass(frozen=True, eq=False)
 class DecoderPlan:
     channel: CQChannel
@@ -83,6 +140,7 @@ class DecoderPlan:
     blocks: tuple[np.ndarray, ...]  # (dim_H, r) masked components per test
     adjoints: tuple[np.ndarray, ...]  # (r, dim_H) conjugate transpose of each block
     m_theory_log2: float
+    memo: ChainMemo = field(default_factory=ChainMemo, repr=False)
 
     @property
     def num_tests(self) -> int:
@@ -105,6 +163,44 @@ class DecoderPlan:
     def apply_no(self, psi: np.ndarray, index: int, amps: np.ndarray) -> np.ndarray:
         """Masked components after (1 - P_test) acting on a masked state."""
         return psi - self.blocks[index].dot(amps)
+
+    def born_chain(self, j_seq: tuple, labels: tuple) -> BornChain:
+        """The memoised chain of |labels>_{j_seq}; stored while the memo has room."""
+        key = (j_seq, labels)
+        chain = self.memo.chains.get(key)
+        if chain is None:
+            chain = BornChain(self.masked_state(j_seq, labels))
+            if self.memo.reserve(1 + self.model.dim_H):
+                chain.stored = True
+                self.memo.chains[key] = chain
+        return chain
+
+    def extend_chain(self, chain: BornChain) -> BornChain:
+        """Append the next test's branch probabilities; returns the chain that holds them.
+
+        A stored chain the memo has no room for continues as an unstored copy.
+        """
+        if chain.stored and not self.memo.reserve(2):
+            chain = chain.unstored_copy()
+        idx = len(chain.p_yes)
+        psi = chain.psi
+        amps = self.test_yes_amplitudes(psi, idx)
+        p_yes = float(np.vdot(amps, amps).real)
+        if p_yes > 1.0:
+            p_yes = 1.0
+        chain.p_yes.append(p_yes)
+        p_no = 1.0 - p_yes
+        if p_no < _NORM_FLOOR:
+            chain.p_typ.append(0.0)  # the no-branch is impossible: never read
+            chain.psi = None
+            return chain
+        psi = self.apply_no(psi, idx, amps) / math.sqrt(p_no)
+        p_typ = float(np.vdot(psi, psi).real)
+        if p_typ > 1.0:
+            p_typ = 1.0
+        chain.p_typ.append(p_typ)
+        chain.psi = psi / math.sqrt(p_typ) if p_typ >= _NORM_FLOOR else None
+        return chain
 
 
 def build_plan(
@@ -181,6 +277,7 @@ def build_plan(
         blocks=tuple(blocks[t.codeword][:, c] for t, c in entries),
         adjoints=tuple(adjoints[t.codeword][c] for t, c in entries),
         m_theory_log2=m_theory_log2,
+        memo=ChainMemo(budgets.work_limit),
     )
 
 
@@ -200,13 +297,13 @@ def sample_output_labels(ch: CQChannel, j_seq, rng: np.random.Generator) -> tupl
 
     The physical channel knows nothing about typicality: atypical label
     sequences are drawn with their true probability and simply tend to abort
-    at the first typicality check.
+    at the first typicality check.  One block of uniforms is read through
+    each letter's normalised CDF (the label is the count of entries <= u),
+    which gives ``rng.choice``'s labels and leaves the generator where one
+    ``rng.choice`` per letter would.
     """
-    labels = []
-    for j in j_seq:
-        probs = ch.letters[int(j)].probs
-        labels.append(int(rng.choice(probs.size, p=probs)))
-    return tuple(labels)
+    cdfs = ch.label_cdfs
+    return tuple(map(bisect_right, [cdfs[j] for j in j_seq], rng.random(len(j_seq)).tolist()))
 
 
 def simulate_trial(
@@ -220,7 +317,10 @@ def simulate_trial(
 
     The channel output eigenlabels are sampled exactly from the per-letter
     spectral weights; every measurement renormalizes the post-measurement
-    state, treating branches of squared norm below 1e-14 as impossible.
+    state, treating branches of squared norm below 1e-14 as impossible.  The
+    branch probabilities come from the plan's memoised chain of the initial
+    state, so a trial only computes the steps no earlier trial has reached;
+    it draws one uniform per possible branch, as an unmemoised walk would.
     """
     if ch is not plan.channel:
         raise ValidationError("ch is not the channel the plan was built for")
@@ -230,40 +330,34 @@ def simulate_trial(
         raise ValidationError("params.n does not match the plan")
     word = plan.codebook.codewords[true_index]
     labels = sample_output_labels(ch, word, rng)
-    psi = plan.masked_state(word, labels)
+    chain = plan.born_chain(word, labels)
+    random = rng.random
 
     events: list[tuple[str, int, bool]] = []
-    p_typ = float(np.vdot(psi, psi).real)
-    passed = p_typ >= _NORM_FLOOR and rng.random() < p_typ
+    p = chain.p_typ0
+    passed = p >= _NORM_FLOOR and random() < p
     events.append(("typ", -1, passed))
     if not passed:
         return Transcript(ABORT_ATYPICAL, None, labels, tuple(events), 0)
-    psi = psi / math.sqrt(p_typ)
 
     for idx in range(plan.num_tests):
-        amps = plan.test_yes_amplitudes(psi, idx)
-        p_yes = float(np.vdot(amps, amps).real)
-        if p_yes > 1.0:
-            p_yes = 1.0
-        yes = p_yes >= _NORM_FLOOR and rng.random() < p_yes
+        if idx == len(chain.p_yes):
+            chain = plan.extend_chain(chain)
+        p = chain.p_yes[idx]
+        yes = p >= _NORM_FLOOR and random() < p
         events.append(("test", idx, yes))
         if yes:
             return Transcript(DECODED, plan.tests[idx].message, labels, tuple(events), idx + 1)
-        p_no = 1.0 - p_yes
-        if p_no < _NORM_FLOOR:
+        if 1.0 - p < _NORM_FLOOR:
             # the no-branch is impossible; the yes draw above cannot have
             # failed except by floor clipping, so force the decode
             events[-1] = ("test", idx, True)
             return Transcript(DECODED, plan.tests[idx].message, labels, tuple(events), idx + 1)
-        psi = plan.apply_no(psi, idx, amps) / math.sqrt(p_no)
-        p_typ = float(np.vdot(psi, psi).real)
-        if p_typ > 1.0:
-            p_typ = 1.0
-        passed = p_typ >= _NORM_FLOOR and rng.random() < p_typ
+        p = chain.p_typ[idx]
+        passed = p >= _NORM_FLOOR and random() < p
         events.append(("typ", idx, passed))
         if not passed:
             return Transcript(ABORT_ATYPICAL, None, labels, tuple(events), idx + 1)
-        psi = psi / math.sqrt(p_typ)
 
     return Transcript(ABORT_EXHAUSTED, None, labels, tuple(events), plan.num_tests)
 
@@ -273,34 +367,33 @@ def transcript_probability(
 ) -> float:
     """Exact probability of the transcript "no everywhere, yes at test_index".
 
-    Walks the same Born-rule chain as simulate_trial with forced outcomes
-    (all typicality checks pass, every earlier test answers no), multiplying
-    the branch probabilities.
+    Reads the plan's memoised Born chain, the one simulate_trial walks, with
+    forced outcomes (all typicality checks pass, every earlier test answers
+    no), multiplying the branch probabilities; like every p_yes of the
+    chain, the final one is clipped at 1.
     """
     if ch is not plan.channel:
         raise ValidationError("ch is not the channel the plan was built for")
     if not 0 <= test_index < plan.num_tests:
         raise ValidationError(f"test_index {test_index} out of range")
-    psi = plan.masked_state(j_seq, labels)
-    total = float(np.vdot(psi, psi).real)
+    chain = plan.born_chain(tuple(int(j) for j in j_seq), tuple(int(k) for k in labels))
+    total = chain.p_typ0
     if total < _NORM_FLOOR:
         return 0.0
-    psi = psi / math.sqrt(total)
-    for idx in range(test_index):
-        amps = plan.test_yes_amplitudes(psi, idx)
-        p_yes = min(float(np.vdot(amps, amps).real), 1.0)
-        p_no = 1.0 - p_yes
+    for idx in range(test_index + 1):
+        if idx == len(chain.p_yes):
+            chain = plan.extend_chain(chain)
+        if idx == test_index:
+            break
+        p_no = 1.0 - chain.p_yes[idx]
         if p_no < _NORM_FLOOR:
             return 0.0
         total *= p_no
-        psi = plan.apply_no(psi, idx, amps) / math.sqrt(p_no)
-        p_typ = min(float(np.vdot(psi, psi).real), 1.0)
+        p_typ = chain.p_typ[idx]
         if p_typ < _NORM_FLOOR:
             return 0.0
         total *= p_typ
-        psi = psi / math.sqrt(p_typ)
-    amps = plan.test_yes_amplitudes(psi, test_index)
-    return total * float(np.vdot(amps, amps).real)
+    return total * chain.p_yes[test_index]
 
 
 def amplitude_chain(plan: DecoderPlan, ch: CQChannel, j_seq, labels, m: int) -> complex:
@@ -430,33 +523,6 @@ def verify_mixture_identity(
         return float(np.abs(lhs).max()) if lhs.size else 0.0
     ix = model.masked_indices
     return float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde.as_dense()).max())
-
-
-def transcript_to_text(tr: Transcript) -> str:
-    """Structured plain-text form of one decoding attempt."""
-    lines = [
-        f"outcome = {tr.outcome}",
-        f"decoded = {'' if tr.decoded is None else tr.decoded}",
-        f"labels = {list(tr.labels)}",
-        f"tests_run = {tr.tests_run}",
-        "events = " + " ".join(
-            f"{kind}:{index}:{'yes' if yes else 'no'}" for kind, index, yes in tr.events
-        ),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def error_report_to_text(report: "ErrorReport") -> str:
-    lines = [
-        f"num_messages = {report.num_messages}",
-        f"p_err = {report.p_err!r}",
-        f"abort_mass = {report.abort_mass!r}",
-        f"misdecode_mass = {report.misdecode_mass!r}",
-        f"per_message_success = {[float(x) for x in report.per_message_success]}",
-        f"per_message_abort = {[float(x) for x in report.per_message_abort]}",
-        f"per_message_misdecode = {[float(x) for x in report.per_message_misdecode]}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,6 +65,10 @@ def build_pgm(ch: CQChannel, codebook: Codebook, budgets: Budgets = DEFAULT_BUDG
             f"dense {dim}x{dim} PGM construction exceeds work budget", reason="work"
         )
     n_msg = codebook.num_messages
+    if n_msg * dim * dim > budgets.work_limit:
+        raise ResourceBudgetError(
+            f"{n_msg} dense {dim}x{dim} outputs and elements exceed work budget", reason="work"
+        )
     outputs = tuple(product_output_state(ch, w) for w in codebook.codewords)
     sigma = sum(outputs) / n_msg
     sigma = 0.5 * (sigma + sigma.conj().T)

@@ -426,19 +426,6 @@ class TestExactError:
         with pytest.raises(ValidationError):
             exact_error_probability(povm, ch, other)
 
-    def test_serialization(self, rng):
-        from cqdec.decoder import error_report_to_text, transcript_to_text
-
-        ch = builtin_channel("classical_bit")
-        cb = sample_codebook(ch, 4, 0.5, 2.0, seed=20, distinct=True)
-        plan = build_plan(cb, ch, wide_params(4))
-        tr = simulate_trial(plan, ch, 1, rng=rng)
-        text = transcript_to_text(tr)
-        assert "outcome = decoded" in text and "decoded = 1" in text
-        report = exact_error_probability(build_povm(plan), ch, cb)
-        text = error_report_to_text(report)
-        assert "p_err = " in text and "per_message_success" in text
-
 
 # exact oracle value for pure_pair(cos pi/4), n=4, R=0.25, delta=0.3, seed=11;
 # frozen after the first verified run (cross-checked against Monte Carlo above)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from cqdec.budgets import Budgets
 from cqdec.channel import builtin_channel, fixture_channels
 from cqdec.codebook import Codebook, sample_codebook
+from cqdec.errors import ResourceBudgetError
 from cqdec.pgm import build_pgm, pgm_error_probability
 
 
@@ -57,3 +59,13 @@ class TestPGM:
         pgm = build_pgm(ch, cb)
         dense = [float(np.trace(g @ rho).real) for g, rho in zip(pgm.elements, pgm.outputs)]
         assert np.abs(pgm.success_probabilities() - dense).max() <= 1e-12
+
+    def test_codebook_wide_work_budget(self):
+        # N dense d^n x d^n outputs and elements: 4 * 4^2 = 64 numbers each
+        ch = builtin_channel("pure_pair", overlap=0.7)
+        cb = Codebook(n=2, rate=1.0, seed=0, delta_source=2.0, distinct=False,
+                      codewords=((0, 0), (0, 1), (1, 0), (1, 1)))
+        assert build_pgm(ch, cb, Budgets(work_limit=64)).num_messages == 4
+        with pytest.raises(ResourceBudgetError) as exc:
+            build_pgm(ch, cb, Budgets(work_limit=63))
+        assert exc.value.reason == "work"

@@ -6,8 +6,11 @@ full d^n space, for both decoder variants, each element's Gram-form minimum
 eigenvalue against a dense diagonalization, the batched mixture identity
 against a pair-by-pair outer-product accumulation, and the exact oracle
 against the three-operand einsum it replaced and, per message, against the
-Born-rule chain summed over every label sequence.
+Born-rule chain summed over every label sequence.  The memoised Monte Carlo
+path is checked against an unmemoised walk with one rng.choice per letter:
+the same transcripts and the same generator state, also under a memo cap.
 """
+import dataclasses
 import itertools
 import math
 
@@ -19,10 +22,17 @@ from hypothesis import strategies as st
 from cqdec.channel import builtin_channel, make_channel
 from cqdec.codebook import Codebook, sample_codebook
 from cqdec.decoder import (
+    ABORT_ATYPICAL,
+    ABORT_EXHAUSTED,
+    DECODED,
+    ChainMemo,
+    Transcript,
     build_plan,
     build_povm,
     exact_error_probability,
     product_output_state,
+    sample_output_labels,
+    simulate_trial,
     transcript_probability,
     verify_mixture_identity,
 )
@@ -247,3 +257,119 @@ def test_oracle_matches_the_born_chain_per_message(case):
         mine = float(per_test[messages == s].sum())
         assert abs(report.per_message_success[s] - mine) <= 1e-10
         assert abs(report.per_message_misdecode[s] - (per_test.sum() - mine)) <= 1e-10
+
+
+def reference_trial(plan, true_index, rng):
+    """One trial without the memo: one rng.choice per letter, the chain walked afresh."""
+    floor = 1e-14
+    ch = plan.channel
+    word = plan.codebook.codewords[true_index]
+    labels = tuple(int(rng.choice(ch.letters[j].probs.size, p=ch.letters[j].probs))
+                   for j in word)
+    psi = plan.masked_state(word, labels)
+    events = []
+    p_typ = float(np.vdot(psi, psi).real)
+    passed = p_typ >= floor and rng.random() < p_typ
+    events.append(("typ", -1, passed))
+    if not passed:
+        return Transcript(ABORT_ATYPICAL, None, labels, tuple(events), 0)
+    psi = psi / math.sqrt(p_typ)
+    for idx in range(plan.num_tests):
+        amps = plan.test_yes_amplitudes(psi, idx)
+        p_yes = min(float(np.vdot(amps, amps).real), 1.0)
+        yes = p_yes >= floor and rng.random() < p_yes
+        events.append(("test", idx, yes))
+        if yes:
+            return Transcript(DECODED, plan.tests[idx].message, labels, tuple(events), idx + 1)
+        p_no = 1.0 - p_yes
+        if p_no < floor:
+            events[-1] = ("test", idx, True)
+            return Transcript(DECODED, plan.tests[idx].message, labels, tuple(events), idx + 1)
+        psi = plan.apply_no(psi, idx, amps) / math.sqrt(p_no)
+        p_typ = min(float(np.vdot(psi, psi).real), 1.0)
+        passed = p_typ >= floor and rng.random() < p_typ
+        events.append(("typ", idx, passed))
+        if not passed:
+            return Transcript(ABORT_ATYPICAL, None, labels, tuple(events), idx + 1)
+        psi = psi / math.sqrt(p_typ)
+    return Transcript(ABORT_EXHAUSTED, None, labels, tuple(events), plan.num_tests)
+
+
+def reference_transcript_probability(plan, word, labels, test_index):
+    """P(no at every earlier test, yes at test_index), the chain walked afresh.
+
+    Every p_yes is clipped at 1 as in simulate_trial, the final one too.
+    """
+    psi = plan.masked_state(word, labels)
+    total = float(np.vdot(psi, psi).real)
+    if total < 1e-14:
+        return 0.0
+    psi = psi / math.sqrt(total)
+    for idx in range(test_index):
+        amps = plan.test_yes_amplitudes(psi, idx)
+        p_no = 1.0 - min(float(np.vdot(amps, amps).real), 1.0)
+        if p_no < 1e-14:
+            return 0.0
+        total *= p_no
+        psi = plan.apply_no(psi, idx, amps) / math.sqrt(p_no)
+        p_typ = min(float(np.vdot(psi, psi).real), 1.0)
+        if p_typ < 1e-14:
+            return 0.0
+        total *= p_typ
+        psi = psi / math.sqrt(p_typ)
+    amps = plan.test_yes_amplitudes(psi, test_index)
+    return total * min(float(np.vdot(amps, amps).real), 1.0)
+
+
+def assert_trials_match_the_reference(plan, seed, trials=60):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    n_msg = plan.codebook.num_messages
+    for _ in range(trials):
+        s_fast, s_slow = int(fast.integers(n_msg)), int(slow.integers(n_msg))
+        assert simulate_trial(plan, plan.channel, s_fast, rng=fast) == reference_trial(
+            plan, s_slow, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(plan_cases), st.integers(0, 2**32 - 1))
+def test_memoised_trials_match_the_unmemoised_walk(case, seed):
+    assert_trials_match_the_reference(case[0], seed)
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(plan_cases), st.integers(0, 2**32 - 1), st.integers(0, 80))
+def test_a_capped_memo_stays_within_its_limit_and_changes_no_transcript(case, seed, limit):
+    plan = dataclasses.replace(case[0], memo=ChainMemo(limit))
+    assert_trials_match_the_reference(plan, seed)
+    memo = plan.memo
+    assert memo.size <= limit
+    stored = sum(plan.model.dim_H + 1 + len(c.p_yes) + len(c.p_typ)
+                 for c in memo.chains.values())
+    assert stored == memo.size
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(plan_cases))
+def test_transcript_probability_matches_the_unmemoised_chain(case):
+    plan = case[0]
+    ch = plan.channel
+    for word in plan.codebook.codewords:
+        spectra = [ch.letters[j].probs for j in word]
+        for labels in itertools.product(*(range(p.size) for p in spectra)):
+            for idx in range(plan.num_tests):
+                assert transcript_probability(plan, ch, word, labels, idx) == \
+                    reference_transcript_probability(plan, word, labels, idx)
+
+
+@SETTINGS
+@given(channel_cases(), st.integers(0, 2**32 - 1), st.data())
+def test_label_block_matches_one_choice_per_letter(case, seed, data):
+    ch, n = case
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        word = data.draw(st.lists(st.integers(0, ch.alphabet_size - 1), min_size=n, max_size=n))
+        labels = sample_output_labels(ch, word, fast)
+        assert labels == tuple(int(slow.choice(ch.letters[j].probs.size, p=ch.letters[j].probs))
+                               for j in word)
+        assert fast.bit_generator.state == slow.bit_generator.state
