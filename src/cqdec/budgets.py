@@ -9,13 +9,15 @@ total number of (sequence, label) pairs feeding an operator sum);
 and the numbers a plan's Monte Carlo chain memo stores.
 
 Environment variables CQDEC_DIM_BUDGET, CQDEC_SET_BUDGET and
-CQDEC_WORK_BUDGET override the defaults.
+CQDEC_WORK_BUDGET override the defaults; each must be an integer >= 1.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+
+from .errors import ConfigError
 
 DEFAULT_DIM_LIMIT = 4096
 DEFAULT_SET_LIMIT = 2**20
@@ -40,7 +42,12 @@ class Budgets:
         for field, env in _ENV_KEYS.items():
             raw = os.environ.get(env)
             if raw is not None:
-                values[field] = int(raw)
+                try:
+                    values[field] = int(raw)
+                except ValueError:
+                    raise ConfigError(f"{env} must be an integer, got {raw!r}") from None
+                if values[field] < 1:
+                    raise ConfigError(f"{env} must be >= 1, got {raw!r}")
         if not values:
             return self
         merged = {f: getattr(self, f) for f in _ENV_KEYS}

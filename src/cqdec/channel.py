@@ -10,7 +10,6 @@ average-state eigenbasis where the typical projector is diagonal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -289,20 +288,3 @@ def parse_channel_document(doc: dict) -> CQChannel:
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def channel_to_document(ch: CQChannel) -> dict:
-    outputs = [
-        [[[float(e.real), float(e.imag)] for e in row] for row in m]
-        for m in ch.outputs
-    ]
-    return {
-        "letter_dim": ch.letter_dim,
-        "priors": [float(p) for p in ch.priors],
-        "outputs": outputs,
-    }
-
-
-def channel_to_text(ch: CQChannel) -> str:
-    doc = channel_to_document(ch)
-    lines = [f"{k} = {json.dumps(doc[k])}" for k in ("letter_dim", "priors", "outputs")]
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,9 @@ level, 3 internal invariant violation detected by verify.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import sys
 
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -72,10 +74,11 @@ def resolve_budgets(cfg: ExperimentConfig) -> Budgets:
 
 def _emit_table(rows: list[dict], columns: tuple[str, ...], fmt: str, out_path: str | None):
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+        text = buf.getvalue()
     else:
         blocks = []
         for i, row in enumerate(rows):

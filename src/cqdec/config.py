@@ -166,6 +166,16 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
         raise ConfigError("'n_grid' entries must be >= 1")
     if any(r < 0 for r in cfg.r_grid):
         raise ConfigError("'R_grid' entries must be >= 0")
+    for key in ("delta", "delta_source", "delta_cond"):
+        value = getattr(cfg, key)
+        if value is not None and value < 0:
+            raise ConfigError(f"'{key}' must be >= 0")
+    if not 0.0 < cfg.epsilon_target < 1.0:
+        raise ConfigError("'epsilon_target' must be in (0, 1)")
+    for key in ("dim_budget", "set_budget", "work_budget"):
+        value = getattr(cfg, key)
+        if value is not None and value < 1:
+            raise ConfigError(f"'{key}' must be >= 1")
     return cfg
 
 

@@ -25,8 +25,9 @@ read from one block of uniforms through each letter's CDF, which consumes
 the generator exactly as one ``rng.choice`` per letter would.
 
 The POVM's no-chain C_1 = P, C_(l+1) = P (1 - P_l) C_l also maps H into H, so
-build_povm runs it as a dim_H x dim_H matrix and only places the finished
-elements into the full d^n space.
+every element C_l^dagger P_l C_l is supported on H and the abort element is
+exactly the identity outside it.  POVMSet therefore holds only H-sized
+arrays: a (dim_H, r) block per element and the dim_H x dim_H abort block.
 """
 
 from __future__ import annotations
@@ -527,13 +528,14 @@ def verify_mixture_identity(
 
 @dataclass(frozen=True, eq=False)
 class POVMSet:
-    """Effective POVM of the whole decoding chain.
+    """Effective POVM of the whole decoding chain, held on the typical subspace H.
 
-    Element l is W_l W_l^dagger for a (d^n, r) block W_l, with r = 1 for a
-    rank-one test; build_povm computes each block on the typical subspace, so
-    its rows outside it are zero.  The abort element is dense; element l's
-    spectrum is that of its r x r Gram matrix W_l^dagger W_l plus dim - r
-    exact zeros.  Everything is in the average-state product eigenbasis.
+    Element l is W_l W_l^dagger for a (dim_H, r) block W_l, with r = 1 for a
+    rank-one test, in the masked basis of H; its rows outside H are zero and
+    are not stored.  ``abort`` is the dim_H x dim_H block of the abort
+    element, which is exactly the identity outside H.  ``dim`` is d^n, the
+    space the POVM acts on.  Everything is in the average-state product
+    eigenbasis.
     """
 
     plan: DecoderPlan
@@ -547,17 +549,14 @@ class POVMSet:
 
     @property
     def dim(self) -> int:
-        return self.abort.shape[0]
-
-    def element(self, index: int) -> np.ndarray:
-        w = self.blocks[index]
-        return w @ w.conj().T
+        return self.plan.model.dim_total
 
     def completeness_defect(self) -> float:
-        total = self.abort.astype(complex).copy()
-        for i in range(self.num_elements):
-            total += self.element(i)
-        return float(np.abs(total - np.eye(self.dim)).max())
+        """Max-abs entry of abort + sum W W^dagger - identity; outside H it is exactly 0."""
+        total = self.abort.copy()
+        for w in self.blocks:
+            total += w @ w.conj().T
+        return float(np.abs(total - np.eye(total.shape[0])).max(initial=0.0))
 
     def element_min_eigenvalue(self, index: int) -> float:
         """Smallest eigenvalue of W W^dagger: the spectrum of W^dagger W plus dim - r zeros."""
@@ -566,8 +565,9 @@ class POVMSet:
         return float(lam.min(initial=0.0 if w.shape[1] < self.dim else np.inf))
 
     def min_element_eigenvalue(self) -> float:
-        """Smallest eigenvalue over all elements; only the abort element is dense."""
-        worst = float(np.linalg.eigvalsh(self.abort).min())
+        """Smallest eigenvalue over all elements; the abort element adds exact 1s outside H."""
+        lam = np.linalg.eigvalsh(self.abort)
+        worst = float(lam.min(initial=1.0 if self.abort.shape[0] < self.dim else np.inf))
         return min([worst] + [self.element_min_eigenvalue(i) for i in range(self.num_elements)])
 
 
@@ -577,33 +577,23 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     With C_1 = P and C_(l+1) = P (1 - P_l) C_l, element l is C_l^dagger P_l C_l.
     Every C_l maps H into H, so the chain is the dim_H x dim_H matrix c, with
     c_1 = 1 and c <- c - W_l (W_l^dagger c) for test l's block W_l; element l's
-    block is c^dagger W_l, placed at the typical rows of the full space.  The
-    whole set costs O(M) dim_H x dim_H updates.  The abort element is
-    identity - sum of the rest, then symmetrized.
+    block is c^dagger W_l.  The whole set costs O(M) dim_H x dim_H updates.
+    The abort block is identity - sum of the rest on H, then symmetrized.
     """
-    model = plan.model
-    dim = model.dim_total
-    if dim > budgets.dim_limit:
+    dim_h = plan.model.dim_H
+    if dim_h * dim_h > budgets.work_limit:
         raise ResourceBudgetError(
-            f"composite dimension {dim} exceeds dim budget {budgets.dim_limit}", reason="dim"
+            f"{dim_h}x{dim_h} POVM accumulation exceeds work budget", reason="work"
         )
-    if dim * dim > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"dense {dim}x{dim} POVM accumulation exceeds work budget", reason="work"
-        )
-    ix = model.masked_indices
-    chain = np.eye(model.dim_H, dtype=complex)  # C_1 = P
-    total = np.zeros((model.dim_H, model.dim_H), dtype=complex)
+    chain = np.eye(dim_h, dtype=complex)  # C_1 = P
+    total = np.zeros((dim_h, dim_h), dtype=complex)
     blocks: list[np.ndarray] = []
     for block, adjoint in zip(plan.blocks, plan.adjoints):
         wc = adjoint @ chain  # W^dagger c
         total += wc.conj().T @ wc
-        full = np.zeros((dim, wc.shape[0]), dtype=complex)
-        full[ix] = wc.conj().T
-        blocks.append(full)
+        blocks.append(wc.conj().T)
         chain -= block @ wc
-    abort = np.eye(dim, dtype=complex)
-    abort[np.ix_(ix, ix)] -= total
+    abort = np.eye(dim_h, dtype=complex) - total
     abort = 0.5 * (abort + abort.conj().T)
     return POVMSet(
         plan=plan,
@@ -626,29 +616,39 @@ class ErrorReport:
     per_message_misdecode: np.ndarray
 
 
-def exact_error_probability(povm: POVMSet, ch: CQChannel, codebook: Codebook) -> ErrorReport:
-    """Average error probability of the full POVM on the exact product outputs.
+def exact_error_probability(
+    povm: POVMSet, ch: CQChannel, codebook: Codebook, budgets: Budgets = DEFAULT_BUDGETS
+) -> ErrorReport:
+    """Average error probability of the POVM on the exact product outputs.
 
-    Every element column b gives the mass <b|rho_s|b>, read for all K columns
-    at once from one (K, d^n) @ (d^n, d^n) product per message.
+    Every element column b lives on H, so its mass <b|rho_s|b> only reads
+    rho_s[H, H]: the dense kron output indexed at the typical rows and
+    columns.  The masses of all K columns come from one
+    (K, dim_H) @ (dim_H, dim_H) product per message.
     """
     if ch is not povm.plan.channel:
         raise ValidationError("ch is not the channel the POVM was built for")
     if povm.plan.codebook != codebook:
         raise ValidationError("POVM was built for a different codebook")
+    dim = povm.dim
+    if dim * dim > budgets.work_limit:
+        raise ResourceBudgetError(
+            f"dense {dim}x{dim} output states exceed work budget", reason="work"
+        )
+    ix = povm.plan.model.masked_indices
     n_msg = codebook.num_messages
     messages = np.array(povm.test_messages, dtype=int)
     owner = np.repeat(messages, [b.shape[1] for b in povm.blocks])
     if povm.num_elements:
         basis = np.concatenate(povm.blocks, axis=1).T.copy()
     else:
-        basis = np.zeros((0, povm.dim), complex)
+        basis = np.zeros((0, ix.size), complex)
     bconj = basis.conj()
     success = np.zeros(n_msg)
     misdecode = np.zeros(n_msg)
     abort = np.zeros(n_msg)
     for s in range(n_msg):
-        rho = product_output_state(ch, codebook.codewords[s])
+        rho = product_output_state(ch, codebook.codewords[s])[np.ix_(ix, ix)]
         vals = np.einsum("ik,ik->i", bconj @ rho, basis).real
         mine = float(vals[owner == s].sum())
         everything = float(vals.sum())

@@ -183,7 +183,8 @@ def run_point(
             cfg.exact == "auto" and dim <= _EXACT_AUTO_DIM and plan.num_tests <= _EXACT_AUTO_TESTS
         )
         if want_exact:
-            report = exact_error_probability(build_povm(plan, budgets=budgets), ch, codebook)
+            povm = build_povm(plan, budgets=budgets)
+            report = exact_error_probability(povm, ch, codebook, budgets)
             exact_err = report.p_err
             exact_abort = report.abort_mass
             exact_mis = report.misdecode_mass

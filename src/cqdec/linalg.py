@@ -52,10 +52,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def spectral_decompose(a, tol: float = TOL_HERM) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.

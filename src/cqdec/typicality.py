@@ -50,8 +50,10 @@ class TypicalityParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.delta < 0:
-            raise ValidationError(f"delta must be >= 0, got {self.delta}")
+        for name in ("delta", "delta_source", "delta_cond"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
         if not 0.0 < self.epsilon_target < 1.0:
             raise ValidationError("epsilon_target must be in (0, 1)")
 
@@ -411,13 +413,6 @@ class MaskedHermitian:
         if self.diag is not None:
             return np.sort(self.diag)[::-1].copy()
         return np.linalg.eigvalsh(self.dense)[::-1].copy()
-
-    def trace_power(self, k: int) -> float:
-        """Tr of the k-th power, k >= 1, via the spectrum."""
-        if k < 1:
-            raise ValidationError("trace_power needs k >= 1")
-        lam = self.eigenvalues()
-        return float(np.sum(lam**k))
 
 
 def build_rho_tilde(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from cqdec.channel import (
     builtin_channel,
-    channel_to_text,
     fixture_channels,
     holevo_chi,
     make_channel,
@@ -172,8 +172,12 @@ class TestBuiltins:
 class TestChannelFiles:
     def test_round_trip(self, rng):
         ch = random_channel(rng, 2, 3)
-        doc = parse_kv_text(channel_to_text(ch))
-        back = parse_channel_document(doc)
+        outputs = [[[[float(e.real), float(e.imag)] for e in row] for row in m]
+                   for m in ch.outputs]
+        text = (f"letter_dim = {ch.letter_dim}\n"
+                f"priors = {json.dumps([float(p) for p in ch.priors])}\n"
+                f"outputs = {json.dumps(outputs)}\n")
+        back = parse_channel_document(parse_kv_text(text))
         assert np.allclose(back.priors, ch.priors)
         for a, b in zip(back.outputs, ch.outputs):
             assert np.abs(a - b).max() < 1e-15

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -177,6 +178,23 @@ class TestSimulate:
         assert cols["status"] == "skipped"
         assert cols["reason"] != ""
 
+    def test_reason_with_a_comma_reads_back_as_one_field(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "channel = pure_pair\noverlap = 0.5\nn_grid = [3]\nR_grid = [0.25]\n"
+            "delta_source = 0.1\ntrials = 10\n",
+        )
+        out = tmp_path / "comma.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and None not in rows[0]
+        assert rows[0]["status"] == "skipped"
+        assert rows[0]["reason"] == (
+            "invalid: typical set at n=3, delta_source=0.1 is empty; "
+            "increase delta_source or n"
+        )
+
     def test_report_format(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "r.txt"
@@ -231,6 +249,31 @@ class TestExitCodes:
 
     def test_missing_file(self):
         assert main(["simulate", "--config", "/nonexistent/x.cfg"]) == 1
+
+    @pytest.mark.parametrize("command, line", [
+        ("verify", "delta = -0.1"),
+        ("simulate", "delta_source = -0.1"),
+        ("simulate", "delta_cond = -0.1"),
+        ("simulate", "epsilon_target = 0.0"),
+        ("simulate", "epsilon_target = 1.0"),
+        ("simulate", "dim_budget = 0"),
+        ("simulate", "set_budget = 0"),
+        ("simulate", "work_budget = -5"),
+    ])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, command, line):
+        cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
+        assert main([command, "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("env, value", [
+        ("CQDEC_DIM_BUDGET", "abc"),
+        ("CQDEC_SET_BUDGET", "1.5"),
+        ("CQDEC_WORK_BUDGET", "0"),
+        ("CQDEC_DIM_BUDGET", "-3"),
+    ])
+    def test_bad_budget_variable_is_a_config_error(self, tmp_path, monkeypatch, env, value):
+        monkeypatch.setenv(env, value)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert main(["simulate", "--config", cfg]) == 1
 
 
 CSV_HEADER = (

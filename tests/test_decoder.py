@@ -29,6 +29,8 @@ from cqdec.typicality import (
     conditional_typical_outputs,
 )
 
+from conftest import embedded_povm
+
 COS45 = math.cos(math.pi / 4)
 
 
@@ -338,8 +340,9 @@ class TestPOVM:
         p_mat = np.diag(plan.model.mask.astype(complex))
         phi = full_coords(ch, plan.tests[0].codeword, plan.tests[0].labels)
         e1 = p_mat @ np.outer(phi, phi.conj()) @ p_mat
-        assert np.abs(povm.element(0) - e1).max() < 1e-12
-        assert np.abs(povm.abort - (np.eye(8) - e1)).max() < 1e-12
+        blocks, abort = embedded_povm(povm)
+        assert np.abs(blocks[0] @ blocks[0].conj().T - e1).max() < 1e-12
+        assert np.abs(abort - (np.eye(8) - e1)).max() < 1e-12
 
     def test_completeness_and_positivity(self):
         ch = builtin_channel("depolarized_pair", overlap=0.3, noise=0.4)
@@ -364,13 +367,14 @@ class TestPOVM:
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=16)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
         povm = build_povm(plan)
+        elements = [w @ w.conj().T for w in embedded_povm(povm)[0]]
         for s in range(cb.num_messages):
             word = cb.codewords[s]
             labels = (0,) * 4
             psi = full_coords(ch, word, labels)
             for idx in range(plan.num_tests):
                 born = transcript_probability(plan, ch, word, labels, idx)
-                exact = float((psi.conj() @ povm.element(idx) @ psi).real)
+                exact = float((psi.conj() @ elements[idx] @ psi).real)
                 assert abs(born - exact) < 1e-9
 
 

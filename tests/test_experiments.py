@@ -69,6 +69,16 @@ class TestRunPoint:
         assert res.status == "skipped"
         assert res.reason == "dim"
 
+    def test_dense_outputs_over_work_budget_skip_the_exact_oracle(self):
+        # d^n = 16: the plan and the POVM on H fit 255 numbers, the oracle's
+        # 16 x 16 kron outputs do not
+        cfg = make_config(exact="always")
+        ch = builtin_channel("pure_pair", overlap=0.5)
+        assert run_point(ch, cfg, 4, 0.25, "rank_one", seed=99).status == "ok"
+        res = run_point(ch, cfg, 4, 0.25, "rank_one", seed=99, budgets=Budgets(work_limit=255))
+        assert res.status == "skipped"
+        assert res.reason == "work"
+
     def test_empty_window_reason(self):
         # pure_pair(cos pi/4) at n = 4, delta = 0.2 has an empty typical window
         cfg = make_config(overlap=0.70710678118654752, delta=0.2)

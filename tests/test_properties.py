@@ -1,12 +1,14 @@
 """Property tests over random channels with letter dimension d in {2, 3}.
 
 The product kernel is checked against chained np.kron, the POVM that
-build_povm assembles on the typical subspace against the no-chain run on the
-full d^n space, for both decoder variants, each element's Gram-form minimum
-eigenvalue against a dense diagonalization, the batched mixture identity
-against a pair-by-pair outer-product accumulation, and the exact oracle
-against the three-operand einsum it replaced and, per message, against the
-Born-rule chain summed over every label sequence.  The memoised Monte Carlo
+build_povm assembles on the typical subspace, embedded into the full d^n
+space, against the no-chain run there, for both decoder variants, each
+element's Gram-form minimum eigenvalue against a dense diagonalization, the
+completeness defect and minimum eigenvalue taken on H against the embedded
+dense POVM, the batched mixture identity against a pair-by-pair
+outer-product accumulation, and the exact oracle against the three-operand
+einsum on the kron outputs and, per message, against the Born-rule chain
+summed over every label sequence.  The memoised Monte Carlo
 path is checked against an unmemoised walk with one rng.choice per letter:
 the same transcripts and the same generator state, also under a memo cap.
 """
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cqdec.channel import builtin_channel, make_channel
@@ -45,7 +47,7 @@ from cqdec.typicality import (
     conditional_typical_outputs,
 )
 
-from conftest import random_density
+from conftest import embedded_povm, random_density
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -124,10 +126,11 @@ def test_povm_on_h_matches_the_full_space_chain(case):
     plan, params = case
     povm = build_povm(plan)
     elements, abort = dense_chain_elements(plan, params)
+    blocks, povm_abort = embedded_povm(povm)
     assert povm.num_elements == len(elements)
-    for i, e in enumerate(elements):
-        assert np.abs(povm.element(i) - e).max() <= 1e-12
-    assert np.abs(povm.abort - abort).max() <= 1e-12
+    for w, e in zip(blocks, elements):
+        assert np.abs(w @ w.conj().T - e).max() <= 1e-12
+    assert np.abs(povm_abort - abort).max() <= 1e-12
 
 
 @SETTINGS
@@ -175,8 +178,8 @@ def test_batched_mixture_identity_matches_the_pairwise_sum(case, delta, delta_so
 @given(plan_cases())
 def test_gram_element_minimum_matches_dense_eigvalsh(case):
     povm = build_povm(case[0])
-    for i in range(povm.num_elements):
-        dense = float(np.linalg.eigvalsh(povm.element(i)).min())
+    for i, w in enumerate(embedded_povm(povm)[0]):
+        dense = float(np.linalg.eigvalsh(w @ w.conj().T).min())
         assert abs(povm.element_min_eigenvalue(i) - dense) <= 1e-12
 
 
@@ -193,16 +196,43 @@ def test_gram_element_minimum_fixed_block_ranks(n, delta_cond, rank):
                       variant="subspace")
     povm = build_povm(plan)
     assert povm.blocks[0].shape[1] == rank
-    dense = float(np.linalg.eigvalsh(povm.element(0)).min())
+    w = embedded_povm(povm)[0][0]
+    dense = float(np.linalg.eigvalsh(w @ w.conj().T).min())
     assert povm.element_min_eigenvalue(0) == pytest.approx(dense, abs=1e-12)
     assert povm.min_element_eigenvalue() >= -1e-10
 
 
+def assert_checks_match_the_embedded_povm(povm):
+    """completeness_defect and min_element_eigenvalue on H against the dense d^n POVM."""
+    blocks, abort = embedded_povm(povm)
+    elements = [abort] + [w @ w.conj().T for w in blocks]
+    defect = float(np.abs(sum(elements) - np.eye(povm.dim)).max())
+    min_eig = min(float(np.linalg.eigvalsh(e).min()) for e in elements)
+    assert abs(povm.completeness_defect() - defect) <= 1e-12
+    assert abs(povm.min_element_eigenvalue() - min_eig) <= 1e-12
+
+
+@SETTINGS
+@given(plan_cases())
+def test_checks_on_h_match_the_embedded_povm(case):
+    plan = case[0]
+    assume(plan.model.dim_H < plan.model.dim_total)
+    assert_checks_match_the_embedded_povm(build_povm(plan))
+
+
+def test_checks_on_an_empty_window_match_the_embedded_povm():
+    ch = builtin_channel("pure_pair", overlap=math.cos(math.pi / 4))
+    cb = sample_codebook(ch, 4, 0.3, 0.2, seed=7)
+    povm = build_povm(build_plan(cb, ch, TypicalityParams(n=4, delta=0.2)))
+    assert povm.abort.shape == (0, 0)
+    assert_checks_match_the_embedded_povm(povm)
+
+
 def einsum_masses(povm, ch, codebook):
     """Per-message (success, abort, misdecode) from the unoptimised three-operand einsum."""
-    owner = np.repeat(np.array(povm.test_messages, dtype=int),
-                      [b.shape[1] for b in povm.blocks])
-    basis = (np.concatenate(povm.blocks, axis=1).T if povm.num_elements
+    blocks = embedded_povm(povm)[0]
+    owner = np.repeat(np.array(povm.test_messages, dtype=int), [b.shape[1] for b in blocks])
+    basis = (np.concatenate(blocks, axis=1).T if povm.num_elements
              else np.zeros((0, povm.dim), complex))
     masses = []
     for s, word in enumerate(codebook.codewords):

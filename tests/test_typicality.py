@@ -22,6 +22,13 @@ from cqdec.typicality import (
 COS45 = math.cos(math.pi / 4)
 
 
+@pytest.mark.parametrize("key", ["delta", "delta_source", "delta_cond"])
+def test_negative_window_is_rejected(key):
+    kwargs = {"delta": 0.2, key: -0.1}
+    with pytest.raises(ValidationError):
+        TypicalityParams(n=4, **kwargs)
+
+
 def enumerate_typical_bruteforce(p, n, delta):
     # oracle: filter the full A^n product space by letter frequencies
     out = []
