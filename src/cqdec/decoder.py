@@ -28,6 +28,11 @@ The POVM's no-chain C_1 = P, C_(l+1) = P (1 - P_l) C_l also maps H into H, so
 every element C_l^dagger P_l C_l is supported on H and the abort element is
 exactly the identity outside it.  POVMSet therefore holds only H-sized
 arrays: a (dim_H, r) block per element and the dim_H x dim_H abort block.
+On H a run of no-steps, a product of factors (1 - W_l W_l^dagger), has the
+compact WY form of Schreiber & Van Loan (1989), so build_povm applies the
+chain a run of at most dim_H columns at a time.  verify's mixture identity
+is rebuilt from Kronecker products of per-(letter, class size) operators,
+one factor per letter class of a typical sequence.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ from .typicality import (
     MaskedHermitian,
     TypicalModel,
     TypicalityParams,
+    _ClassBlockCache,
+    _letter_classes,
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
@@ -487,43 +494,68 @@ def verify_mixture_identity(
 ) -> float:
     """Max-abs deviation between sum_l pi_l P P_l P and rho_tilde.
 
-    The left side is rebuilt from the full d^n-dimensional product eigenvectors
-    of every (typical sequence, conditional label) pair: one weighted product
-    V diag(p_seq * p_labels) V^dagger per sequence over its masked (d^n, count)
-    block V.  The right side comes from build_rho_tilde's batched masked path.
+    The left side is rebuilt on the full d^n-dimensional space from Kronecker
+    factors.  A typical sequence's conditional label set is the Cartesian
+    product of one label block per letter class (the positions carrying
+    letter j, m of them), so its sum_labels p_labels |v><v| is the Kronecker
+    product of the d^m x d^m operators A_(j,m) = sum_block p |u><u|, with the
+    tensor axes permuted to the class positions.  Each A_(j,m) is built once,
+    each type's Kronecker product once per type (one at a time), and every
+    sequence adds its permutation of it with weight p_seq.  Rows and columns
+    outside H are then zeroed, and the result is compared with
+    build_rho_tilde's masked path, embedded at the typical indices.
     """
     model = build_typical_model(ch, params, budgets)
     rho_tilde = build_rho_tilde(ch, params, model, budgets)
+    n, d = params.n, ch.letter_dim
     dim = model.dim_total
     if dim * dim > budgets.work_limit:
         raise ResourceBudgetError(
             f"dense {dim}x{dim} accumulation exceeds work budget", reason="work"
         )
-    tset = classical_typical_set(ch.priors, params.n, params.source_delta, budgets)
-    log_priors = np.log(ch.priors)
-    lhs = np.zeros((dim, dim), dtype=complex)
-    outside = ~model.mask
-    digits = digit_table(ch.letter_dim, params.n)
+    tset = classical_typical_set(ch.priors, n, params.source_delta, budgets)
+    cache = _ClassBlockCache(ch, n, params.cond_delta)
+    # each sequence's axis permutation, by type: its (letter, class size) pairs
+    perms_by_type: dict[tuple[tuple[int, int], ...], list[np.ndarray]] = {}
     pairs = 0
     for row in tset.sequences:
-        cts = conditional_typical_outputs(ch, row, params.cond_delta, budgets)
-        pairs += cts.count
+        classes = _letter_classes(row)
+        count = math.prod(cache.count(j, pos.size) for j, pos in classes)
+        pairs += count
         if pairs > budgets.set_limit:
             raise ResourceBudgetError(
                 f"mixture identity needs more than {budgets.set_limit} pairs", reason="set"
             )
-        if dim * cts.count > budgets.work_limit:
+        if dim * count > budgets.work_limit:
             raise ResourceBudgetError(
-                f"{dim}x{cts.count} product eigenvectors exceed work budget", reason="work"
+                f"{dim}x{count} product eigenvectors exceed work budget", reason="work"
             )
-        p_seq = math.exp(float(log_priors[row.astype(int)].sum()))
-        vecs = product_entries([ch.coords[int(j)] for j in row], digits, cts.labels)
-        vecs[outside] = 0.0
-        lhs += (vecs * (p_seq * cts.probs)) @ vecs.conj().T
-    if model.dim_H == 0:
-        return float(np.abs(lhs).max()) if lhs.size else 0.0
+        if count:
+            key = tuple((j, pos.size) for j, pos in classes)
+            order = np.concatenate([pos for _, pos in classes])
+            perms_by_type.setdefault(key, []).append(np.argsort(order))
+    log_priors = np.log(ch.priors)
+    factors: dict[tuple[int, int], np.ndarray] = {}
+    lhs = np.zeros((dim, dim), dtype=complex)
+    lhs_axes = lhs.reshape((d,) * (2 * n))
+    for key, perms in perms_by_type.items():
+        kron = np.ones((1, 1), dtype=complex)
+        for j, m in key:
+            if (j, m) not in factors:
+                labels, probs = cache.block(j, m)
+                vecs = product_entries([ch.coords[j]] * m, digit_table(d, m), labels)
+                factors[(j, m)] = (vecs * probs) @ vecs.conj().T
+            kron = np.kron(kron, factors[(j, m)])
+        p_seq = math.exp(sum(m * float(log_priors[j]) for j, m in key))
+        kron = (p_seq * kron).reshape((d,) * (2 * n))
+        for perm in perms:
+            lhs_axes += kron.transpose(*perm, *(perm + n))
+    outside = ~model.mask
+    lhs[outside] = 0.0
+    lhs[:, outside] = 0.0
     ix = model.masked_indices
-    return float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde.as_dense()).max())
+    lhs[np.ix_(ix, ix)] -= rho_tilde.as_dense()
+    return float(np.abs(lhs).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,14 +564,15 @@ class POVMSet:
 
     Element l is W_l W_l^dagger for a (dim_H, r) block W_l, with r = 1 for a
     rank-one test, in the masked basis of H; its rows outside H are zero and
-    are not stored.  ``abort`` is the dim_H x dim_H block of the abort
-    element, which is exactly the identity outside H.  ``dim`` is d^n, the
-    space the POVM acts on.  Everything is in the average-state product
-    eigenbasis.
+    are not stored.  ``columns`` holds every block side by side, in schedule
+    order, and ``blocks`` are views of it.  ``abort`` is the dim_H x dim_H
+    block of the abort element, which is exactly the identity outside H.
+    ``dim`` is d^n, the space the POVM acts on.  Everything is in the
+    average-state product eigenbasis.
     """
 
     plan: DecoderPlan
-    blocks: tuple[np.ndarray, ...]
+    columns: np.ndarray  # (dim_H, K): the K columns of all elements
     abort: np.ndarray
     test_messages: tuple[int, ...]
 
@@ -551,53 +584,106 @@ class POVMSet:
     def dim(self) -> int:
         return self.plan.model.dim_total
 
+    @property
+    def widths(self) -> np.ndarray:
+        """Column count r of each element."""
+        return np.array([b.shape[1] for b in self.plan.blocks], dtype=int)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        widths = self.widths
+        return tuple(self.columns[:, e - r:e] for r, e in zip(widths, np.cumsum(widths)))
+
     def completeness_defect(self) -> float:
         """Max-abs entry of abort + sum W W^dagger - identity; outside H it is exactly 0."""
-        total = self.abort.copy()
-        for w in self.blocks:
-            total += w @ w.conj().T
+        total = self.abort + self.columns @ self.columns.conj().T
         return float(np.abs(total - np.eye(total.shape[0])).max(initial=0.0))
 
-    def element_min_eigenvalue(self, index: int) -> float:
-        """Smallest eigenvalue of W W^dagger: the spectrum of W^dagger W plus dim - r zeros."""
-        w = self.blocks[index]
-        lam = np.linalg.eigvalsh(w.conj().T @ w)  # empty when r = 0
-        return float(lam.min(initial=0.0 if w.shape[1] < self.dim else np.inf))
+    def element_min_eigenvalues(self) -> np.ndarray:
+        """Smallest eigenvalue of each W W^dagger: the spectrum of W^dagger W plus dim - r zeros.
+
+        The r x r Gram matrices of all elements of one width r go through one
+        stacked eigvalsh; an r = 0 element is the zero matrix.
+        """
+        widths = self.widths
+        starts = np.cumsum(widths) - widths
+        out = np.zeros(widths.size)
+        for r in set(widths.tolist()) - {0}:
+            which = np.nonzero(widths == r)[0]
+            w = self.columns[:, starts[which, None] + np.arange(r)].transpose(1, 0, 2)
+            lam = np.linalg.eigvalsh(w.conj().transpose(0, 2, 1) @ w).min(axis=1)
+            out[which] = np.minimum(lam, 0.0) if r < self.dim else lam
+        return out
 
     def min_element_eigenvalue(self) -> float:
         """Smallest eigenvalue over all elements; the abort element adds exact 1s outside H."""
         lam = np.linalg.eigvalsh(self.abort)
         worst = float(lam.min(initial=1.0 if self.abort.shape[0] < self.dim else np.inf))
-        return min([worst] + [self.element_min_eigenvalue(i) for i in range(self.num_elements)])
+        return float(self.element_min_eigenvalues().min(initial=worst))
+
+
+def _wy_runs(widths, limit: int) -> list[tuple[int, int]]:
+    """(start, stop) runs of consecutive tests with at most ``limit`` columns in all.
+
+    A test wider than ``limit`` forms a run of its own.
+    """
+    runs: list[tuple[int, int]] = []
+    start = total = 0
+    for i, r in enumerate(widths):
+        if i > start and total + r > limit:
+            runs.append((start, i))
+            start, total = i, 0
+        total += r
+    if widths:
+        runs.append((start, len(widths)))
+    return runs
 
 
 def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet:
-    """Materialize the chain's POVM elements by accumulating the no-chain on H.
+    """Materialize the chain's POVM elements from the no-chain on H, a run of tests at a time.
 
     With C_1 = P and C_(l+1) = P (1 - P_l) C_l, element l is C_l^dagger P_l C_l.
     Every C_l maps H into H, so the chain is the dim_H x dim_H matrix c, with
     c_1 = 1 and c <- c - W_l (W_l^dagger c) for test l's block W_l; element l's
-    block is c^dagger W_l.  The whole set costs O(M) dim_H x dim_H updates.
-    The abort block is identity - sum of the rest on H, then symmetrized.
+    block is c^dagger W_l.  A run of consecutive tests with blocks W_B (at
+    most dim_H columns in all, or a single wider test) is applied at once in
+    the compact WY form of a product of such factors: the amplitudes
+    a_l = W_l^dagger c_l solve (I + L) a = W_B^dagger c, where L keeps the
+    entries of the Gram matrix W_B^dagger W_B whose row test comes after the
+    column test (so (I + L)^-1 = T_B^dagger with T_B = (I + L^dagger)^-1).
+    The run's element columns are a^dagger = c^dagger W_B T_B and the chain
+    becomes c - W_B a.  The whole set costs O(M dim_H^2) work in
+    dim_H-sized BLAS products.  The abort block is identity - E E^dagger on
+    H for the stacked element columns E, then symmetrized.
     """
     dim_h = plan.model.dim_H
     if dim_h * dim_h > budgets.work_limit:
         raise ResourceBudgetError(
             f"{dim_h}x{dim_h} POVM accumulation exceeds work budget", reason="work"
         )
+    widths = [b.shape[1] for b in plan.blocks]
+    offsets = np.cumsum([0] + widths)
     chain = np.eye(dim_h, dtype=complex)  # C_1 = P
-    total = np.zeros((dim_h, dim_h), dtype=complex)
-    blocks: list[np.ndarray] = []
-    for block, adjoint in zip(plan.blocks, plan.adjoints):
-        wc = adjoint @ chain  # W^dagger c
-        total += wc.conj().T @ wc
-        blocks.append(wc.conj().T)
-        chain -= block @ wc
-    abort = np.eye(dim_h, dtype=complex) - total
+    amps = np.empty((offsets[-1], dim_h), dtype=complex)  # a_l = W_l^dagger c_l, stacked
+    for start, stop in _wy_runs(widths, dim_h):
+        a = amps[offsets[start]:offsets[stop]]
+        if stop - start == 1:  # one test: T_B = I
+            w, w_adj = plan.blocks[start], plan.adjoints[start]
+            np.matmul(w_adj, chain, out=a)
+        else:
+            w = np.concatenate(plan.blocks[start:stop], axis=1)
+            w_adj = np.concatenate(plan.adjoints[start:stop])
+            owner = np.repeat(np.arange(stop - start), widths[start:stop])
+            system = np.where(owner[:, None] > owner[None, :], w_adj @ w, 0.0)
+            system[np.diag_indices_from(system)] += 1.0
+            a[...] = np.linalg.solve(system, w_adj @ chain)
+        chain -= w @ a
+    columns = np.conjugate(amps, out=amps).T
+    abort = np.eye(dim_h, dtype=complex) - columns @ columns.conj().T
     abort = 0.5 * (abort + abort.conj().T)
     return POVMSet(
         plan=plan,
-        blocks=tuple(blocks),
+        columns=columns,
         abort=abort,
         test_messages=tuple(t.message for t in plan.tests),
     )
@@ -616,6 +702,14 @@ class ErrorReport:
     per_message_misdecode: np.ndarray
 
 
+def check_oracle_budget(dim: int, budgets: Budgets = DEFAULT_BUDGETS) -> None:
+    """Raise ResourceBudgetError(work) when the oracle's dense d^n x d^n outputs pass work_limit."""
+    if dim * dim > budgets.work_limit:
+        raise ResourceBudgetError(
+            f"dense {dim}x{dim} output states exceed work budget", reason="work"
+        )
+
+
 def exact_error_probability(
     povm: POVMSet, ch: CQChannel, codebook: Codebook, budgets: Budgets = DEFAULT_BUDGETS
 ) -> ErrorReport:
@@ -623,32 +717,28 @@ def exact_error_probability(
 
     Every element column b lives on H, so its mass <b|rho_s|b> only reads
     rho_s[H, H]: the dense kron output indexed at the typical rows and
-    columns.  The masses of all K columns come from one
-    (K, dim_H) @ (dim_H, dim_H) product per message.
+    columns, or the kron output itself when H is the whole space.  The
+    masses of all K columns come from one (K, dim_H) @ (dim_H, dim_H)
+    product per message.
     """
     if ch is not povm.plan.channel:
         raise ValidationError("ch is not the channel the POVM was built for")
     if povm.plan.codebook != codebook:
         raise ValidationError("POVM was built for a different codebook")
-    dim = povm.dim
-    if dim * dim > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"dense {dim}x{dim} output states exceed work budget", reason="work"
-        )
+    check_oracle_budget(povm.dim, budgets)
     ix = povm.plan.model.masked_indices
+    whole = ix.size == povm.dim
     n_msg = codebook.num_messages
-    messages = np.array(povm.test_messages, dtype=int)
-    owner = np.repeat(messages, [b.shape[1] for b in povm.blocks])
-    if povm.num_elements:
-        basis = np.concatenate(povm.blocks, axis=1).T.copy()
-    else:
-        basis = np.zeros((0, ix.size), complex)
+    owner = np.repeat(np.array(povm.test_messages, dtype=int), povm.widths)
+    basis = povm.columns.T
     bconj = basis.conj()
     success = np.zeros(n_msg)
     misdecode = np.zeros(n_msg)
     abort = np.zeros(n_msg)
     for s in range(n_msg):
-        rho = product_output_state(ch, codebook.codewords[s])[np.ix_(ix, ix)]
+        rho = product_output_state(ch, codebook.codewords[s])
+        if not whole:
+            rho = rho[np.ix_(ix, ix)]
         vals = np.einsum("ik,ik->i", bconj @ rho, basis).real
         mine = float(vals[owner == s].sum())
         everything = float(vals.sum())

@@ -22,6 +22,7 @@ from .decoder import (
     DECODED,
     build_plan,
     build_povm,
+    check_oracle_budget,
     exact_error_probability,
     simulate_trial,
 )
@@ -163,6 +164,12 @@ def run_point(
         plan = build_plan(codebook, ch, params, ordering=cfg.ordering,
                           worst_index=0 if cfg.ordering == "worst_case" else None,
                           variant=variant, budgets=budgets)
+        dim = ch.letter_dim**n
+        want_exact = cfg.exact == "always" or (
+            cfg.exact == "auto" and dim <= _EXACT_AUTO_DIM and plan.num_tests <= _EXACT_AUTO_TESTS
+        )
+        if want_exact:
+            check_oracle_budget(dim, budgets)  # before the trials and the POVM pay for it
         rng = np.random.default_rng([seed, 1])
         trials = cfg.trials
         errors = aborts = wrong = 0
@@ -178,10 +185,6 @@ def run_point(
         err = errors / trials if trials else None
         ci_low, ci_high = binomial_interval(errors, trials) if trials else (None, None)
         exact_err = exact_abort = exact_mis = None
-        dim = ch.letter_dim**n
-        want_exact = cfg.exact == "always" or (
-            cfg.exact == "auto" and dim <= _EXACT_AUTO_DIM and plan.num_tests <= _EXACT_AUTO_TESTS
-        )
         if want_exact:
             povm = build_povm(plan, budgets=budgets)
             report = exact_error_probability(povm, ch, codebook, budgets)

@@ -27,26 +27,6 @@ class PGMSet:
     residual: np.ndarray
     outputs: tuple[np.ndarray, ...]
 
-    @property
-    def num_messages(self) -> int:
-        return len(self.elements)
-
-    @property
-    def dim(self) -> int:
-        return self.residual.shape[0]
-
-    def completeness_defect(self) -> float:
-        total = self.residual.astype(complex).copy()
-        for g in self.elements:
-            total += g
-        return float(np.abs(total - np.eye(self.dim)).max())
-
-    def min_element_eigenvalue(self) -> float:
-        worst = float(np.linalg.eigvalsh(self.residual).min())
-        for g in self.elements:
-            worst = min(worst, float(np.linalg.eigvalsh(g).min()))
-        return worst
-
     def success_probabilities(self) -> np.ndarray:
         """Tr(G_s rho_s) for every message, as vdot(G_s, rho_s) since G_s is Hermitian."""
         return np.array(

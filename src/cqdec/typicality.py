@@ -209,9 +209,15 @@ class _ClassBlockCache:
         self.n_total = n_total
         self.delta = delta_cond
         self._blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._counts: dict[tuple[int, int], int] = {}
 
     def count(self, letter: int, size: int) -> int:
-        return sum(_multinomial(size, m) for m in self._count_vectors(letter, size))
+        key = (letter, size)
+        if key not in self._counts:
+            self._counts[key] = sum(
+                _multinomial(size, m) for m in self._count_vectors(letter, size)
+            )
+        return self._counts[key]
 
     def _count_vectors(self, letter: int, size: int) -> list[tuple[int, ...]]:
         targets = float(self.ch.priors[letter]) * self.ch.letters[letter].probs

@@ -45,3 +45,32 @@ def embedded_povm(povm):
     abort = np.eye(povm.dim, dtype=complex)
     abort[np.ix_(ix, ix)] = povm.abort
     return blocks, abort
+
+
+def sequential_povm(plan):
+    """Element blocks and abort block from the no-chain on H, one test at a time.
+
+    c_1 = 1; element l is c_l^dagger W_l and c_(l+1) = c_l - W_l (W_l^dagger c_l)
+    for test l's (dim_H, r) block W_l.  The abort block is the identity minus
+    every W W^dagger, symmetrized.
+    """
+    dim_h = plan.model.dim_H
+    chain = np.eye(dim_h, dtype=complex)
+    total = np.zeros((dim_h, dim_h), dtype=complex)
+    blocks = []
+    for block, adjoint in zip(plan.blocks, plan.adjoints):
+        wc = adjoint @ chain
+        total += wc.conj().T @ wc
+        blocks.append(wc.conj().T)
+        chain -= block @ wc
+    abort = np.eye(dim_h) - total
+    return blocks, 0.5 * (abort + abort.conj().T)
+
+
+def assert_povm_matches_the_sequential_chain(povm, tol=1e-12):
+    blocks, abort = sequential_povm(povm.plan)
+    assert len(povm.blocks) == len(blocks)
+    for w, ref in zip(povm.blocks, blocks):
+        assert w.shape == ref.shape
+        assert np.abs(w - ref).max(initial=0.0) <= tol
+    assert np.abs(povm.abort - abort).max(initial=0.0) <= tol

@@ -29,7 +29,7 @@ from cqdec.typicality import (
     conditional_typical_outputs,
 )
 
-from conftest import embedded_povm
+from conftest import assert_povm_matches_the_sequential_chain, embedded_povm
 
 COS45 = math.cos(math.pi / 4)
 
@@ -351,6 +351,26 @@ class TestPOVM:
         povm = build_povm(plan)
         assert povm.completeness_defect() < 1e-9
         assert povm.min_element_eigenvalue() >= -1e-10
+
+    @pytest.mark.parametrize("name, params, n, rate, delta, delta_cond, variant", [
+        # M = 512 rank-one tests against dim_H = 55: ten WY runs of several tests
+        ("pure_pair", {"overlap": COS45}, 10, 0.9, 0.2, None, "rank_one"),
+        # dim_H = 15: 256 rank-one tests in 18 runs, and four subspace tests
+        # of 64 columns each, each wider than dim_H and a run of its own
+        ("depolarized_pair", {"overlap": 0.5, "noise": 0.3}, 6, 0.3, 0.1, 2.0, "rank_one"),
+        ("depolarized_pair", {"overlap": 0.5, "noise": 0.3}, 6, 0.3, 0.1, 2.0, "subspace"),
+    ])
+    def test_wy_runs_match_the_sequential_no_chain(self, name, params, n, rate, delta,
+                                                    delta_cond, variant):
+        ch = builtin_channel(name, **params)
+        cb = sample_codebook(ch, n, rate, delta, seed=5)
+        plan = build_plan(cb, ch, TypicalityParams(n=n, delta=delta, delta_cond=delta_cond),
+                          variant=variant)
+        widths = [b.shape[1] for b in plan.blocks]
+        assert sum(widths) > 2 * plan.model.dim_H > 0
+        if variant == "subspace":
+            assert min(widths) > plan.model.dim_H
+        assert_povm_matches_the_sequential_chain(build_povm(plan))
 
     def test_orthogonal_classical_codewords_are_recovered(self):
         ch = builtin_channel("classical_bit")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cqdec import experiments
 from cqdec.budgets import Budgets
 from cqdec.channel import builtin_channel
 from cqdec.config import experiment_config_from_document
@@ -69,15 +70,20 @@ class TestRunPoint:
         assert res.status == "skipped"
         assert res.reason == "dim"
 
-    def test_dense_outputs_over_work_budget_skip_the_exact_oracle(self):
+    def test_dense_outputs_over_work_budget_skip_the_exact_oracle(self, monkeypatch):
         # d^n = 16: the plan and the POVM on H fit 255 numbers, the oracle's
-        # 16 x 16 kron outputs do not
+        # 16 x 16 kron outputs do not, and the point is skipped before its
+        # trials run and its POVM is built
         cfg = make_config(exact="always")
         ch = builtin_channel("pure_pair", overlap=0.5)
         assert run_point(ch, cfg, 4, 0.25, "rank_one", seed=99).status == "ok"
+        calls = []
+        monkeypatch.setattr(experiments, "build_povm", lambda *a, **k: calls.append("povm"))
+        monkeypatch.setattr(experiments, "simulate_trial", lambda *a, **k: calls.append("trial"))
         res = run_point(ch, cfg, 4, 0.25, "rank_one", seed=99, budgets=Budgets(work_limit=255))
         assert res.status == "skipped"
         assert res.reason == "work"
+        assert calls == []
 
     def test_empty_window_reason(self):
         # pure_pair(cos pi/4) at n = 4, delta = 0.2 has an empty typical window

@@ -39,8 +39,9 @@ class TestPGM:
         ch = builtin_channel("depolarized_pair", overlap=0.4, noise=0.3)
         cb = sample_codebook(ch, 4, 0.5, 2.0, seed=3)
         pgm = build_pgm(ch, cb)
-        assert pgm.completeness_defect() < 1e-9
-        assert pgm.min_element_eigenvalue() >= -1e-10
+        elements = [pgm.residual, *pgm.elements]
+        assert np.abs(sum(elements) - np.eye(pgm.residual.shape[0])).max() < 1e-9
+        assert min(float(np.linalg.eigvalsh(e).min()) for e in elements) >= -1e-10
 
     def test_duplicate_codewords_split_success(self):
         ch = builtin_channel("classical_bit")
@@ -65,7 +66,7 @@ class TestPGM:
         ch = builtin_channel("pure_pair", overlap=0.7)
         cb = Codebook(n=2, rate=1.0, seed=0, delta_source=2.0, distinct=False,
                       codewords=((0, 0), (0, 1), (1, 0), (1, 1)))
-        assert build_pgm(ch, cb, Budgets(work_limit=64)).num_messages == 4
+        assert len(build_pgm(ch, cb, Budgets(work_limit=64)).elements) == 4
         with pytest.raises(ResourceBudgetError) as exc:
             build_pgm(ch, cb, Budgets(work_limit=63))
         assert exc.value.reason == "work"

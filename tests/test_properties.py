@@ -1,11 +1,12 @@
 """Property tests over random channels with letter dimension d in {2, 3}.
 
 The product kernel is checked against chained np.kron, the POVM that
-build_povm assembles on the typical subspace, embedded into the full d^n
-space, against the no-chain run there, for both decoder variants, each
+build_povm assembles on the typical subspace in compact WY runs against the
+no-chain run one test at a time on H and, embedded into the full d^n space,
+against the no-chain run there, for both decoder variants, each
 element's Gram-form minimum eigenvalue against a dense diagonalization, the
 completeness defect and minimum eigenvalue taken on H against the embedded
-dense POVM, the batched mixture identity against a pair-by-pair
+dense POVM, the Kronecker-factor mixture identity against a pair-by-pair
 outer-product accumulation, and the exact oracle against the three-operand
 einsum on the kron outputs and, per message, against the Born-rule chain
 summed over every label sequence.  The memoised Monte Carlo
@@ -47,7 +48,7 @@ from cqdec.typicality import (
     conditional_typical_outputs,
 )
 
-from conftest import embedded_povm, random_density
+from conftest import assert_povm_matches_the_sequential_chain, embedded_povm, random_density
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -135,6 +136,12 @@ def test_povm_on_h_matches_the_full_space_chain(case):
 
 @SETTINGS
 @given(plan_cases())
+def test_wy_povm_matches_the_sequential_no_chain(case):
+    assert_povm_matches_the_sequential_chain(build_povm(case[0]))
+
+
+@SETTINGS
+@given(plan_cases())
 def test_povm_is_complete_and_positive(case):
     povm = build_povm(case[0])
     assert povm.completeness_defect() <= 1e-9
@@ -174,13 +181,33 @@ def test_batched_mixture_identity_matches_the_pairwise_sum(case, delta, delta_so
     assert batched <= 1e-10 and reference <= 1e-10
 
 
+def test_kronecker_mixture_identity_on_qutrit_letter_classes():
+    # three mixed qutrit letters; at n = 4, delta_source = 0.2 every typical
+    # sequence carries two or three letter classes, and dim_H < d^n
+    rng = np.random.default_rng(3)
+    ch = make_channel([0.5, 0.3, 0.2], [random_density(rng, 3, r) for r in (2, 3, 3)])
+    params = TypicalityParams(n=4, delta=0.3, delta_source=0.2, delta_cond=0.5)
+    model = build_typical_model(ch, params)
+    assert 0 < model.dim_H < model.dim_total
+    sequences = classical_typical_set(ch.priors, 4, 0.2).sequences
+    assert min(len(set(row.tolist())) for row in sequences) >= 2
+    lhs = pairwise_mixture(ch, params, model)
+    ix = model.masked_indices
+    rho_tilde = build_rho_tilde(ch, params, model).as_dense()
+    reference = float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde).max())
+    kronecker = verify_mixture_identity(ch, params)
+    assert abs(kronecker - reference) <= 1e-12
+    assert kronecker <= 1e-10 and reference <= 1e-10
+
+
 @SETTINGS
 @given(plan_cases())
 def test_gram_element_minimum_matches_dense_eigvalsh(case):
     povm = build_povm(case[0])
+    minima = povm.element_min_eigenvalues()
     for i, w in enumerate(embedded_povm(povm)[0]):
         dense = float(np.linalg.eigvalsh(w @ w.conj().T).min())
-        assert abs(povm.element_min_eigenvalue(i) - dense) <= 1e-12
+        assert abs(minima[i] - dense) <= 1e-12
 
 
 @pytest.mark.parametrize("n, delta_cond, rank", [(3, 0.0, 0), (2, 0.0, 2), (2, 2.0, 4)])
@@ -198,7 +225,7 @@ def test_gram_element_minimum_fixed_block_ranks(n, delta_cond, rank):
     assert povm.blocks[0].shape[1] == rank
     w = embedded_povm(povm)[0][0]
     dense = float(np.linalg.eigvalsh(w @ w.conj().T).min())
-    assert povm.element_min_eigenvalue(0) == pytest.approx(dense, abs=1e-12)
+    assert povm.element_min_eigenvalues()[0] == pytest.approx(dense, abs=1e-12)
     assert povm.min_element_eigenvalue() >= -1e-10
 
 
