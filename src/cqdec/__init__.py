@@ -38,7 +38,7 @@ from .linalg import (
     spectral_decompose,
     von_neumann_entropy,
 )
-from .pgm import PGMSet, build_pgm, pgm_error_probability
+from .pgm import pgm_error_probability
 from .typicality import (
     ConditionalTypicalSet,
     MaskedHermitian,

@@ -291,12 +291,11 @@ def build_plan(
 
 @dataclass(frozen=True)
 class Transcript:
-    """One decoding attempt: every binary outcome plus the final verdict."""
+    """One decoding attempt: the final verdict and how many tests it ran."""
 
     outcome: str
     decoded: int | None
     labels: tuple[int, ...]
-    events: tuple[tuple[str, int, bool], ...]
     tests_run: int
 
 
@@ -341,33 +340,22 @@ def simulate_trial(
     chain = plan.born_chain(word, labels)
     random = rng.random
 
-    events: list[tuple[str, int, bool]] = []
     p = chain.p_typ0
-    passed = p >= _NORM_FLOOR and random() < p
-    events.append(("typ", -1, passed))
-    if not passed:
-        return Transcript(ABORT_ATYPICAL, None, labels, tuple(events), 0)
+    if not (p >= _NORM_FLOOR and random() < p):
+        return Transcript(ABORT_ATYPICAL, None, labels, 0)
 
     for idx in range(plan.num_tests):
         if idx == len(chain.p_yes):
             chain = plan.extend_chain(chain)
         p = chain.p_yes[idx]
-        yes = p >= _NORM_FLOOR and random() < p
-        events.append(("test", idx, yes))
-        if yes:
-            return Transcript(DECODED, plan.tests[idx].message, labels, tuple(events), idx + 1)
-        if 1.0 - p < _NORM_FLOOR:
-            # the no-branch is impossible; the yes draw above cannot have
-            # failed except by floor clipping, so force the decode
-            events[-1] = ("test", idx, True)
-            return Transcript(DECODED, plan.tests[idx].message, labels, tuple(events), idx + 1)
+        # a "no" branch below the floor is impossible: the test decodes
+        if (p >= _NORM_FLOOR and random() < p) or 1.0 - p < _NORM_FLOOR:
+            return Transcript(DECODED, plan.tests[idx].message, labels, idx + 1)
         p = chain.p_typ[idx]
-        passed = p >= _NORM_FLOOR and random() < p
-        events.append(("typ", idx, passed))
-        if not passed:
-            return Transcript(ABORT_ATYPICAL, None, labels, tuple(events), idx + 1)
+        if not (p >= _NORM_FLOOR and random() < p):
+            return Transcript(ABORT_ATYPICAL, None, labels, idx + 1)
 
-    return Transcript(ABORT_EXHAUSTED, None, labels, tuple(events), plan.num_tests)
+    return Transcript(ABORT_EXHAUSTED, None, labels, plan.num_tests)
 
 
 def transcript_probability(
@@ -526,10 +514,6 @@ def verify_mixture_identity(
             raise ResourceBudgetError(
                 f"mixture identity needs more than {budgets.set_limit} pairs", reason="set"
             )
-        if dim * count > budgets.work_limit:
-            raise ResourceBudgetError(
-                f"{dim}x{count} product eigenvectors exceed work budget", reason="work"
-            )
         if count:
             key = tuple((j, pos.size) for j, pos in classes)
             order = np.concatenate([pos for _, pos in classes])
@@ -653,8 +637,11 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     column test (so (I + L)^-1 = T_B^dagger with T_B = (I + L^dagger)^-1).
     The run's element columns are a^dagger = c^dagger W_B T_B and the chain
     becomes c - W_B a.  The whole set costs O(M dim_H^2) work in
-    dim_H-sized BLAS products.  The abort block is identity - E E^dagger on
-    H for the stacked element columns E, then symmetrized.
+    dim_H-sized BLAS products.  The abort block is the surviving c^dagger c
+    plus each test's typicality loss a_l^dagger (1 - W_l^dagger W_l) a_l, the
+    part of (1 - P_l) C_l outside H (a test's full-space columns are
+    orthonormal), with W_l^dagger W_l read from the run's Gram matrix; so
+    completeness_defect checks the chain's arithmetic, not an identity.
     """
     dim_h = plan.model.dim_H
     if dim_h * dim_h > budgets.work_limit:
@@ -665,22 +652,36 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     offsets = np.cumsum([0] + widths)
     chain = np.eye(dim_h, dtype=complex)  # C_1 = P
     amps = np.empty((offsets[-1], dim_h), dtype=complex)  # a_l = W_l^dagger c_l, stacked
+    abort = np.zeros((dim_h, dim_h), dtype=complex)
     for start, stop in _wy_runs(widths, dim_h):
         a = amps[offsets[start]:offsets[stop]]
         if stop - start == 1:  # one test: T_B = I
             w, w_adj = plan.blocks[start], plan.adjoints[start]
             np.matmul(w_adj, chain, out=a)
+            step = w @ a
+            kept = w_adj @ step  # W_l^dagger W_l a_l
+            chain -= step
         else:
             w = np.concatenate(plan.blocks[start:stop], axis=1)
             w_adj = np.concatenate(plan.adjoints[start:stop])
             owner = np.repeat(np.arange(stop - start), widths[start:stop])
-            system = np.where(owner[:, None] > owner[None, :], w_adj @ w, 0.0)
-            system[np.diag_indices_from(system)] += 1.0
-            a[...] = np.linalg.solve(system, w_adj @ chain)
-        chain -= w @ a
-    columns = np.conjugate(amps, out=amps).T
-    abort = np.eye(dim_h, dtype=complex) - columns @ columns.conj().T
+            own = owner[:, None] == owner[None, :]
+            gram = w_adj @ w
+            diagonal = gram[own]  # each test's W_l^dagger W_l
+            # one buffer holds I + L, then the block diagonal: one k x k at a time
+            gram[owner[:, None] <= owner[None, :]] = 0.0
+            gram[np.diag_indices_from(gram)] = 1.0
+            np.matmul(w_adj, chain, out=a)
+            a[...] = np.linalg.solve(gram, a)
+            gram[...] = 0.0
+            gram[own] = diagonal
+            kept = gram @ a
+            chain -= w @ a
+        # the typicality losses sum_l a_l^dagger (1 - W_l^dagger W_l) a_l
+        abort += a.conj().T @ np.subtract(a, kept, out=kept)
+    abort += chain.conj().T @ chain
     abort = 0.5 * (abort + abort.conj().T)
+    columns = np.conjugate(amps, out=amps).T
     return POVMSet(
         plan=plan,
         columns=columns,

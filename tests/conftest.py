@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from cqdec.channel import make_channel
 
 
 @pytest.fixture
@@ -28,6 +31,18 @@ def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
 def random_state(rng, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+@st.composite
+def channel_cases(draw, min_rank=1):
+    """A random channel of 1-3 letters with random ranks, and a block length n."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 4 if d == 2 else 3))
+    letters = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = [draw(st.integers(min_rank, d)) for _ in range(letters)]
+    priors = rng.dirichlet(np.ones(letters)) * 0.9 + 0.1 / letters
+    return make_channel(priors, [random_density(rng, d, r) for r in ranks]), n
 
 
 def embedded_povm(povm):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -152,10 +153,15 @@ class TestSimulateTrial:
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
         for _ in range(200):
             tr = simulate_trial(plan, ch, int(rng.integers(cb.num_messages)), rng=rng)
-            yes_events = [e for e in tr.events if e[0] == "test" and e[2]]
-            assert len(yes_events) <= 1
+            assert 0 <= tr.tests_run <= plan.num_tests
             if tr.outcome == DECODED:
-                assert tr.events[-1][0] == "test" and tr.events[-1][2]
+                # the chain stops at its one yes: the last test run decodes
+                assert tr.tests_run >= 1
+                assert tr.decoded == plan.tests[tr.tests_run - 1].message
+            else:
+                assert tr.decoded is None
+            if tr.outcome == ABORT_EXHAUSTED:
+                assert tr.tests_run == plan.num_tests
 
     def test_monte_carlo_matches_exact_oracle(self, rng):
         ch = builtin_channel("pure_pair", overlap=COS45)
@@ -351,6 +357,18 @@ class TestPOVM:
         povm = build_povm(plan)
         assert povm.completeness_defect() < 1e-9
         assert povm.min_element_eigenvalue() >= -1e-10
+
+    @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
+    def test_completeness_sees_a_chain_whose_no_steps_are_dropped(self, variant):
+        # zero blocks with the adjoints kept make every "no" step c <- c - W a
+        # a no-op while the amplitudes a = W^dagger c still read the tests;
+        # the abort block is built from the chain, so completeness must fail
+        ch = builtin_channel("depolarized_pair", overlap=0.3, noise=0.4)
+        cb = sample_codebook(ch, 4, 0.5, 0.3, seed=14)
+        plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.4), variant=variant)
+        assert build_povm(plan).completeness_defect() <= 1e-12
+        broken = dataclasses.replace(plan, blocks=tuple(np.zeros_like(b) for b in plan.blocks))
+        assert build_povm(broken).completeness_defect() > 0.1
 
     @pytest.mark.parametrize("name, params, n, rate, delta, delta_cond, variant", [
         # M = 512 rank-one tests against dim_H = 55: ten WY runs of several tests

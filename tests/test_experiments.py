@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cqdec import experiments
-from cqdec.budgets import Budgets
+from cqdec.budgets import DEFAULT_WORK_LIMIT, Budgets
 from cqdec.channel import builtin_channel
 from cqdec.config import experiment_config_from_document
 from cqdec.experiments import binomial_interval, point_seed, run_grid, run_point
@@ -62,6 +62,17 @@ class TestRunPoint:
         assert res.status == "ok"
         assert res.err == res.exact_err
         assert res.trials == 0
+
+    def test_pgm_fits_where_dense_outputs_and_elements_did_not(self):
+        # pure_pair(cos pi/4) at n = 10, R = 0.9: N = 512 dense 1024 x 1024
+        # outputs would need N d^2n = 2^29 numbers, past the default work
+        # budget; the rank-one output factors need d^n N = 2^19
+        cfg = make_config(overlap=0.70710678118654752, delta=0.2)
+        ch = builtin_channel("pure_pair", overlap=0.70710678118654752)
+        res = run_point(ch, cfg, 10, 0.9, "pgm", seed=point_seed(7, 2, 1))
+        assert res.num_messages * 4**10 > DEFAULT_WORK_LIMIT
+        assert (res.status, res.reason) == ("ok", "")
+        assert 0.0 < res.err < 1.0
 
     def test_budget_skip_reason(self):
         cfg = make_config()

@@ -48,7 +48,12 @@ from cqdec.typicality import (
     conditional_typical_outputs,
 )
 
-from conftest import assert_povm_matches_the_sequential_chain, embedded_povm, random_density
+from conftest import (
+    assert_povm_matches_the_sequential_chain,
+    channel_cases,
+    embedded_povm,
+    random_density,
+)
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -62,18 +67,6 @@ def kron_cases(draw):
     rows = draw(st.lists(st.integers(0, d**n - 1), max_size=2 * d**n))
     cols = draw(st.lists(st.integers(0, d**n - 1), max_size=2 * d**n))
     return mats, np.array(rows, dtype=int), np.array(cols, dtype=int)
-
-
-@st.composite
-def channel_cases(draw, min_rank=1):
-    """A random channel of 1-3 letters with random ranks, and a block length n."""
-    d = draw(st.sampled_from((2, 3)))
-    n = draw(st.integers(2, 4 if d == 2 else 3))
-    letters = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ranks = [draw(st.integers(min_rank, d)) for _ in range(letters)]
-    priors = rng.dirichlet(np.ones(letters)) * 0.9 + 0.1 / letters
-    return make_channel(priors, [random_density(rng, d, r) for r in ranks]), n
 
 
 @st.composite
@@ -324,32 +317,24 @@ def reference_trial(plan, true_index, rng):
     labels = tuple(int(rng.choice(ch.letters[j].probs.size, p=ch.letters[j].probs))
                    for j in word)
     psi = plan.masked_state(word, labels)
-    events = []
     p_typ = float(np.vdot(psi, psi).real)
-    passed = p_typ >= floor and rng.random() < p_typ
-    events.append(("typ", -1, passed))
-    if not passed:
-        return Transcript(ABORT_ATYPICAL, None, labels, tuple(events), 0)
+    if not (p_typ >= floor and rng.random() < p_typ):
+        return Transcript(ABORT_ATYPICAL, None, labels, 0)
     psi = psi / math.sqrt(p_typ)
     for idx in range(plan.num_tests):
         amps = plan.test_yes_amplitudes(psi, idx)
         p_yes = min(float(np.vdot(amps, amps).real), 1.0)
-        yes = p_yes >= floor and rng.random() < p_yes
-        events.append(("test", idx, yes))
-        if yes:
-            return Transcript(DECODED, plan.tests[idx].message, labels, tuple(events), idx + 1)
+        if p_yes >= floor and rng.random() < p_yes:
+            return Transcript(DECODED, plan.tests[idx].message, labels, idx + 1)
         p_no = 1.0 - p_yes
-        if p_no < floor:
-            events[-1] = ("test", idx, True)
-            return Transcript(DECODED, plan.tests[idx].message, labels, tuple(events), idx + 1)
+        if p_no < floor:  # the no-branch is impossible: force the decode
+            return Transcript(DECODED, plan.tests[idx].message, labels, idx + 1)
         psi = plan.apply_no(psi, idx, amps) / math.sqrt(p_no)
         p_typ = min(float(np.vdot(psi, psi).real), 1.0)
-        passed = p_typ >= floor and rng.random() < p_typ
-        events.append(("typ", idx, passed))
-        if not passed:
-            return Transcript(ABORT_ATYPICAL, None, labels, tuple(events), idx + 1)
+        if not (p_typ >= floor and rng.random() < p_typ):
+            return Transcript(ABORT_ATYPICAL, None, labels, idx + 1)
         psi = psi / math.sqrt(p_typ)
-    return Transcript(ABORT_EXHAUSTED, None, labels, tuple(events), plan.num_tests)
+    return Transcript(ABORT_EXHAUSTED, None, labels, plan.num_tests)
 
 
 def reference_transcript_probability(plan, word, labels, test_index):
