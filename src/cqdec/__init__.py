@@ -22,13 +22,11 @@ from .decoder import (
     ErrorReport,
     POVMSet,
     Transcript,
-    amplitude_chain,
     average_amplitude,
     build_plan,
     build_povm,
     exact_error_probability,
     simulate_trial,
-    transcript_probability,
     verify_mixture_identity,
 )
 from .errors import ConfigError, CqdecError, ResourceBudgetError, ValidationError

@@ -13,24 +13,29 @@ pushes outside it, and those are exactly what the following typicality check
 removes.  A test's yes-probability on a masked state only involves the masked
 components of its product eigenvectors, so the whole chain runs on
 dim(H)-sized vectors.  Every test has one format: the (dim_H, r) block of
-those components, with r = 1 for a rank-one test, and its adjoint.
+those components, with r = 1 for a rank-one test; the plan keeps all blocks
+side by side in one (dim_H, K) array.
+
+On H a run of no-steps, a product of factors (1 - W_l W_l^dagger), has the
+compact WY form of Schreiber & Van Loan (1989).  The plan splits its tests
+into runs of at most dim_H columns (a wider test is a run of its own), and
+both the Monte Carlo chains and build_povm step through them a run at a time.
 
 Given that every earlier test answered "no" and every typicality check
 passed, the state in front of test k depends only on the initial state, the
-product eigenvector of (codeword, labels).  A trial's randomness is its
-labels and its Born coin flips, so the plan memoises each initial state's
-chain of branch probabilities (see BornChain) and every trial that starts
-there walks it, extending it only when a trial goes deeper.  The labels are
-read from one block of uniforms through each letter's CDF, which consumes
-the generator exactly as one ``rng.choice`` per letter would.
+product eigenvector of (codeword, labels).  So the plan memoises each
+initial state's outcome masses (see BornChain): the cumulative masses of the
+opening abort and of a decode at each test and an abort after it, appended a
+run at a time from all of the run's amplitudes at once.  A trial draws its
+labels from one block of uniforms read through each letter's CDF, which
+consumes the generator exactly as one ``rng.choice`` per letter would, then
+one uniform, and its outcome is the first cumulative mass above it.
 
 The POVM's no-chain C_1 = P, C_(l+1) = P (1 - P_l) C_l also maps H into H, so
 every element C_l^dagger P_l C_l is supported on H and the abort element is
 exactly the identity outside it.  POVMSet therefore holds only H-sized
 arrays: a (dim_H, r) block per element and the dim_H x dim_H abort block.
-On H a run of no-steps, a product of factors (1 - W_l W_l^dagger), has the
-compact WY form of Schreiber & Van Loan (1989), so build_povm applies the
-chain a run of at most dim_H columns at a time.  verify's mixture identity
+verify's mixture identity
 is rebuilt from Kronecker products of per-(letter, class size) operators,
 one factor per letter class of a typical sequence.
 """
@@ -92,42 +97,68 @@ class PlanTest:
 
 
 class BornChain:
-    """Branch probabilities along one initial state's all-"no" path.
+    """Cumulative outcome masses along one initial state's all-"no" path.
 
-    ``p_typ0`` is the opening typicality check's pass probability,
-    ``p_yes[k]`` test k's yes-probability on the state in front of it and
-    ``p_typ[k]`` the pass probability of the check after test k answered no;
-    both are clipped at 1.  ``psi`` is the normalised state in front of test
-    ``len(p_yes)``, or None once no walk can go deeper.
+    ``masses`` holds the cumulative absolute masses [opening abort, decode_0,
+    abort_0, decode_1, abort_1, ...] of the tests covered so far, which grow
+    a WY run at a time; a trial's outcome is the first entry above its
+    uniform.  ``psi`` is the normalised state in front of run ``run`` and
+    ``survival`` its absolute mass.  psi is None once the chain is complete:
+    every test covered, or cut by a floor rule, which pins the last entry at
+    >= 1 so that no uniform lies past it.
     """
 
-    __slots__ = ("p_typ0", "p_yes", "p_typ", "psi", "stored")
+    __slots__ = ("masses", "psi", "survival", "run", "stored")
 
-    def __init__(self, psi: np.ndarray):
-        self.p_typ0 = float(np.vdot(psi, psi).real)
-        self.psi = psi / math.sqrt(self.p_typ0) if self.p_typ0 >= _NORM_FLOOR else None
-        self.p_yes = array("d")
-        self.p_typ = array("d")
+    def __init__(self, psi: np.ndarray, has_tests: bool):
+        self.survival = float(np.vdot(psi, psi).real)
+        self.run = 0
         self.stored = False
+        if self.survival < _NORM_FLOOR:
+            self.masses, self.psi = array("d", (1.0,)), None
+        else:
+            self.masses = array("d", (max(1.0 - self.survival, 0.0),))
+            self.psi = psi / math.sqrt(self.survival) if has_tests else None
 
     def unstored_copy(self) -> "BornChain":
         twin = copy.copy(self)
-        twin.p_yes, twin.p_typ, twin.stored = array("d", self.p_yes), array("d", self.p_typ), False
+        twin.masses, twin.stored = array("d", self.masses), False
         return twin
 
 
-class ChainMemo:
-    """The plan's Born chains, keyed by (codeword, labels).
+@dataclass(frozen=True)
+class RunFactor:
+    """Run B's amplitude map: a_B = matrix @ psi for a state psi in front of B.
 
-    ``size`` counts stored numbers: dim_H per state plus one per branch
-    probability.  It never passes ``limit``; past it, new states and deeper
-    steps run through the same chain code without being stored.
+    ``matrix`` is T_B^dagger W_B^dagger = (I + L_B)^-1 W_B^dagger, with L_B
+    the entries of the Gram matrix W_B^dagger W_B whose row test comes after
+    the column test (see build_povm); for a one-test run it is W^dagger.
+    ``loss`` is 1 - ||w_l||^2 per test, the part of each test's column
+    outside H, when every test of the run has rank one, else None.  Test l
+    owns rows ``bounds[l]:bounds[l + 1]`` of ``matrix``, and ``columns`` is
+    W_B, a view of the plan's columns.
+    """
+
+    matrix: np.ndarray
+    loss: np.ndarray | None
+    bounds: list[int]
+    columns: np.ndarray
+
+
+class ChainMemo:
+    """The plan's Monte Carlo state: Born chains keyed by (codeword, labels), run factors.
+
+    ``size`` counts stored numbers: dim_H per state plus one per cumulative
+    mass.  It never passes ``limit``; past it, new states and deeper runs go
+    through the same chain code without being stored.  A run factor is
+    built the first time any chain enters its run and kept for the plan.
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGETS.work_limit):
         self.limit = limit
         self.size = 0
         self.chains: dict[tuple, BornChain] = {}
+        self.factors: dict[int, RunFactor] = {}
 
     def reserve(self, count: int) -> bool:
         if self.size + count > self.limit:
@@ -145,9 +176,9 @@ class DecoderPlan:
     ordering: str
     worst_index: int | None
     tests: tuple[PlanTest, ...]
-    blocks: tuple[np.ndarray, ...]  # (dim_H, r) masked components per test
-    adjoints: tuple[np.ndarray, ...]  # (r, dim_H) conjugate transpose of each block
-    m_theory_log2: float
+    columns: np.ndarray  # (dim_H, K) every test's masked components, schedule order
+    offsets: np.ndarray  # test l owns columns offsets[l]:offsets[l + 1]
+    runs: tuple[tuple[int, int], ...]  # WY runs of tests: _wy_runs(widths, dim_H)
     memo: ChainMemo = field(default_factory=ChainMemo, repr=False)
 
     @property
@@ -155,60 +186,151 @@ class DecoderPlan:
         return len(self.tests)
 
     @property
-    def m_theory(self) -> float:
-        """2^(nR) * 2^(n * mean letter entropy): the analytic test-count estimate."""
-        return 2.0**self.m_theory_log2
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Each test's (dim_H, r) block, r = 1 for a rank-one test: views of ``columns``."""
+        o = self.offsets
+        return tuple(self.columns[:, o[i]:o[i + 1]] for i in range(self.num_tests))
+
+    def run_columns(self, run: int) -> np.ndarray:
+        """W_B: the blocks of run ``run`` side by side, a view of ``columns``."""
+        start, stop = self.runs[run]
+        return self.columns[:, self.offsets[start]:self.offsets[stop]]
+
+    def run_adjoint(self, run: int) -> np.ndarray:
+        """W_B^dagger as a C-ordered array."""
+        return np.ascontiguousarray(self.run_columns(run).conj().T)
 
     def masked_state(self, j_seq, labels) -> np.ndarray:
         """Masked components of the product eigenvector |labels>_{j_seq}."""
         mats = [self.channel.coords[int(j)] for j in j_seq]
         return product_entries(mats, self.model.masked_digits, np.array([labels]))[:, 0]
 
-    def test_yes_amplitudes(self, psi: np.ndarray, index: int) -> np.ndarray:
-        """Amplitudes <component|psi> over the columns of a test's block."""
-        return self.adjoints[index].dot(psi)
+    def run_factor(self, run: int) -> RunFactor:
+        """The run's cached amplitude map, built on first use.
 
-    def apply_no(self, psi: np.ndarray, index: int, amps: np.ndarray) -> np.ndarray:
-        """Masked components after (1 - P_test) acting on a masked state."""
-        return psi - self.blocks[index].dot(amps)
+        (I + L_B) X = W_B^dagger is solved by forward substitution, a test's
+        rows at a time: rows l of X are W_l^dagger - (W_l^dagger W_<l) X_<l,
+        matrix-vector products for rank-one tests, so the run's k x k Gram
+        matrix is never formed.
+        """
+        factor = self.memo.factors.get(run)
+        if factor is None:
+            start, stop = self.runs[run]
+            w = self.run_columns(run)
+            matrix = self.run_adjoint(run)
+            bounds = (self.offsets[start:stop + 1] - self.offsets[start]).tolist()
+            for i, e in zip(bounds[1:-1], bounds[2:]):
+                matrix[i:e] -= (matrix[i:e] @ w[:, :i]) @ matrix[:i]
+            loss = None
+            if all(e - i == 1 for i, e in zip(bounds, bounds[1:])):  # all rank one
+                loss = np.maximum(1.0 - (w.real * w.real + w.imag * w.imag).sum(axis=0), 0.0)
+            factor = self.memo.factors[run] = RunFactor(matrix, loss, bounds, w)
+        return factor
 
     def born_chain(self, j_seq: tuple, labels: tuple) -> BornChain:
         """The memoised chain of |labels>_{j_seq}; stored while the memo has room."""
         key = (j_seq, labels)
         chain = self.memo.chains.get(key)
         if chain is None:
-            chain = BornChain(self.masked_state(j_seq, labels))
+            chain = BornChain(self.masked_state(j_seq, labels), bool(self.runs))
             if self.memo.reserve(1 + self.model.dim_H):
                 chain.stored = True
                 self.memo.chains[key] = chain
         return chain
 
-    def extend_chain(self, chain: BornChain) -> BornChain:
-        """Append the next test's branch probabilities; returns the chain that holds them.
+    def advance_chain(self, chain: BornChain) -> BornChain:
+        """Append the outcome masses of the chain's next run; returns the chain that holds them.
 
-        A stored chain the memo has no room for continues as an unstored copy.
+        With a = T_B^dagger W_B^dagger psi, test l of the run decodes with
+        mass ||a_l||^2 and aborts at the typicality check after it with
+        a_l^dagger (1 - W_l^dagger W_l) a_l; the survival in front of each
+        test is the reverse cumulative sum of these from ||psi - W_B a||^2.
+        A no-branch below the floor, relative to the survival in front of its
+        test, is a forced decode, and a survival below the floor, relative to
+        its no-branch, an abort; either completes the chain.  Neither can
+        happen in a run whose final survival stays above the floor, relative
+        to the survival in front of it.  A stored chain the memo has no room
+        for continues as an unstored copy.
         """
-        if chain.stored and not self.memo.reserve(2):
-            chain = chain.unstored_copy()
-        idx = len(chain.p_yes)
+        run = chain.run
+        factor = self.run_factor(run)
         psi = chain.psi
-        amps = self.test_yes_amplitudes(psi, idx)
-        p_yes = float(np.vdot(amps, amps).real)
-        if p_yes > 1.0:
-            p_yes = 1.0
-        chain.p_yes.append(p_yes)
-        p_no = 1.0 - p_yes
-        if p_no < _NORM_FLOOR:
-            chain.p_typ.append(0.0)  # the no-branch is impossible: never read
+        total, scale = chain.masses[-1], chain.survival
+        # the first test's amplitudes first: when its no-branch is below the
+        # floor the rest of the run is never needed
+        first = factor.bounds[1]
+        a = np.empty(factor.matrix.shape[0], dtype=complex)
+        np.matmul(factor.matrix[:first], psi, out=a[:first])
+        if 1.0 - np.vdot(a[:first], a[:first]).real < _NORM_FLOOR:
+            return self._append(chain, [max(total + scale, 1.0)], True, None, 0.0)
+        np.matmul(factor.matrix[first:], psi, out=a[first:])
+        sq = a.real * a.real + a.imag * a.imag
+        complete = run + 1 == len(self.runs)
+        if factor.loss is not None:  # rank-one tests, up to dim_H of them
+            after = psi - factor.columns @ a
+            end = float(np.vdot(after, after).real)
+            loss = sq * factor.loss
+            front = end + np.cumsum((sq + loss)[::-1])[::-1]
+            if end > _NORM_FLOOR * front[0]:
+                steps = np.empty(2 * sq.size + 1)
+                steps[0] = total
+                steps[1::2] = scale * sq
+                steps[2::2] = scale * loss
+                values = np.cumsum(steps)[1:].tolist()
+            else:
+                values, complete = _run_masses(total, scale, sq.tolist(), loss.tolist(), end,
+                                               complete)
+        else:  # wider tests, a few per run: a_l^dagger W_l^dagger W_l a_l = ||W_l a_l||^2
+            spans = list(zip(factor.bounds, factor.bounds[1:]))
+            parts = [factor.columns[:, i:e] @ a[i:e] for i, e in spans]
+            after = psi - sum(parts)
+            end = float(np.vdot(after, after).real)
+            decode = [float(sq[i:e].sum()) for i, e in spans]
+            loss = [max(d - np.vdot(p, p).real, 0.0) for d, p in zip(decode, parts)]
+            values, complete = _run_masses(total, scale, decode, loss, end, complete)
+        return self._append(chain, values, complete, after, end)
+
+    def _append(self, chain: BornChain, values, complete: bool, after, end: float) -> BornChain:
+        """Store a run's masses, and the state after it unless the chain is complete."""
+        if chain.stored and not self.memo.reserve(len(values)):
+            chain = chain.unstored_copy()
+        chain.masses.extend(values)
+        chain.run += 1
+        if complete:
             chain.psi = None
-            return chain
-        psi = self.apply_no(psi, idx, amps) / math.sqrt(p_no)
-        p_typ = float(np.vdot(psi, psi).real)
-        if p_typ > 1.0:
-            p_typ = 1.0
-        chain.p_typ.append(p_typ)
-        chain.psi = psi / math.sqrt(p_typ) if p_typ >= _NORM_FLOOR else None
+        else:
+            chain.survival *= end
+            chain.psi = after / math.sqrt(end)
         return chain
+
+
+def _run_masses(total, scale, decode, loss, end, complete):
+    """A run's cumulative masses, one test at a time, with the floor rules.
+
+    ``total`` is the chain's last cumulative mass and ``scale`` the survival
+    in front of the run; ``decode`` and ``loss`` are the tests' masses
+    relative to it and ``end`` the survival after the run.  Returns the
+    masses and whether the chain is complete: a floor rule completes it and
+    pins the last mass at >= 1.
+    """
+    front = [end]  # survival in front of each test, from the back
+    for d, x in zip(reversed(decode), reversed(loss)):
+        front.append(front[-1] + d + x)
+    front.reverse()
+    values = []
+    for l, (d, x) in enumerate(zip(decode, loss)):
+        no_branch = front[l + 1] + x
+        if no_branch < _NORM_FLOOR * front[l]:  # forced decode
+            values.append(max(total + scale * front[l], 1.0))
+            return values, True
+        total += scale * d
+        values.append(total)
+        if front[l + 1] < _NORM_FLOOR * no_branch:  # abort
+            values.append(max(total + scale * no_branch, 1.0))
+            return values, True
+        total += scale * x
+        values.append(total)
+    return values, complete
 
 
 def build_plan(
@@ -240,7 +362,7 @@ def build_plan(
         model = build_typical_model(ch, params, budgets)
 
     # each test with its columns in its codeword's block
-    entries: list[tuple[PlanTest, slice]] = []
+    entries: list[tuple[PlanTest, int, int]] = []
     cts_cache: dict[tuple[int, ...], object] = {}
     for s, word in enumerate(codebook.codewords):
         if word not in cts_cache:
@@ -250,13 +372,13 @@ def build_plan(
             for i in range(cts.count):
                 labels = tuple(int(x) for x in cts.labels[i])
                 test = PlanTest(message=s, codeword=word, labels=labels)
-                entries.append((test, slice(i, i + 1)))
+                entries.append((test, i, i + 1))
                 if len(entries) > budgets.set_limit:
                     raise ResourceBudgetError(
                         f"plan exceeds set budget {budgets.set_limit} tests", reason="set"
                     )
         else:
-            entries.append((PlanTest(message=s, codeword=word, labels=None), slice(None)))
+            entries.append((PlanTest(message=s, codeword=word, labels=None), 0, cts.count))
     if ordering == "worst_case":
         # a stable sort keeps the schedule order within both parts
         entries.sort(key=lambda e: e[0].message == worst_index)
@@ -267,13 +389,15 @@ def build_plan(
         raise ResourceBudgetError(
             f"masked test blocks {dim_h}x{width} exceed work budget", reason="work"
         )
-    adjoints = {}
-    for word, cts in cts_cache.items():
-        block = product_entries([ch.coords[int(j)] for j in word], model.masked_digits, cts.labels)
-        adjoints[word] = np.ascontiguousarray(block.conj().T)
-    blocks = {word: a.conj().T for word, a in adjoints.items()}
-
-    m_theory_log2 = codebook.n * (codebook.rate + ch.mean_letter_entropy)
+    word_blocks = {
+        word: product_entries([ch.coords[int(j)] for j in word], model.masked_digits, cts.labels)
+        for word, cts in cts_cache.items()
+    }
+    widths = [stop - start for _, start, stop in entries]
+    offsets = np.cumsum([0] + widths)
+    columns = np.empty((dim_h, offsets[-1]), dtype=complex, order="F")
+    for (t, start, stop), at in zip(entries, offsets):
+        columns[:, at:at + stop - start] = word_blocks[t.codeword][:, start:stop]
     return DecoderPlan(
         channel=ch,
         model=model,
@@ -281,10 +405,10 @@ def build_plan(
         variant=variant,
         ordering=ordering,
         worst_index=worst_index,
-        tests=tuple(t for t, _ in entries),
-        blocks=tuple(blocks[t.codeword][:, c] for t, c in entries),
-        adjoints=tuple(adjoints[t.codeword][c] for t, c in entries),
-        m_theory_log2=m_theory_log2,
+        tests=tuple(t for t, _, _ in entries),
+        columns=columns,
+        offsets=offsets,
+        runs=tuple(_wy_runs(widths, dim_h)),
         memo=ChainMemo(budgets.work_limit),
     )
 
@@ -320,14 +444,14 @@ def simulate_trial(
     params: TypicalityParams | None = None,
     rng: np.random.Generator | None = None,
 ) -> Transcript:
-    """Run one Born-rule measurement chain for a uniformly chosen message.
+    """Run one Born-rule measurement chain for the sent message ``true_index``.
 
     The channel output eigenlabels are sampled exactly from the per-letter
-    spectral weights; every measurement renormalizes the post-measurement
-    state, treating branches of squared norm below 1e-14 as impossible.  The
-    branch probabilities come from the plan's memoised chain of the initial
-    state, so a trial only computes the steps no earlier trial has reached;
-    it draws one uniform per possible branch, as an unmemoised walk would.
+    spectral weights, then one uniform picks the outcome from the
+    cumulative masses of the plan's memoised chain of the initial state
+    (see BornChain): the first entry above the uniform.  The chain is
+    advanced a WY run at a time, only while the uniform lies past its
+    current depth.
     """
     if ch is not plan.channel:
         raise ValidationError("ch is not the channel the plan was built for")
@@ -337,77 +461,19 @@ def simulate_trial(
         raise ValidationError("params.n does not match the plan")
     word = plan.codebook.codewords[true_index]
     labels = sample_output_labels(ch, word, rng)
+    u = rng.random()
     chain = plan.born_chain(word, labels)
-    random = rng.random
-
-    p = chain.p_typ0
-    if not (p >= _NORM_FLOOR and random() < p):
-        return Transcript(ABORT_ATYPICAL, None, labels, 0)
-
-    for idx in range(plan.num_tests):
-        if idx == len(chain.p_yes):
-            chain = plan.extend_chain(chain)
-        p = chain.p_yes[idx]
-        # a "no" branch below the floor is impossible: the test decodes
-        if (p >= _NORM_FLOOR and random() < p) or 1.0 - p < _NORM_FLOOR:
-            return Transcript(DECODED, plan.tests[idx].message, labels, idx + 1)
-        p = chain.p_typ[idx]
-        if not (p >= _NORM_FLOOR and random() < p):
-            return Transcript(ABORT_ATYPICAL, None, labels, idx + 1)
-
-    return Transcript(ABORT_EXHAUSTED, None, labels, plan.num_tests)
-
-
-def transcript_probability(
-    plan: DecoderPlan, ch: CQChannel, j_seq, labels, test_index: int
-) -> float:
-    """Exact probability of the transcript "no everywhere, yes at test_index".
-
-    Reads the plan's memoised Born chain, the one simulate_trial walks, with
-    forced outcomes (all typicality checks pass, every earlier test answers
-    no), multiplying the branch probabilities; like every p_yes of the
-    chain, the final one is clipped at 1.
-    """
-    if ch is not plan.channel:
-        raise ValidationError("ch is not the channel the plan was built for")
-    if not 0 <= test_index < plan.num_tests:
-        raise ValidationError(f"test_index {test_index} out of range")
-    chain = plan.born_chain(tuple(int(j) for j in j_seq), tuple(int(k) for k in labels))
-    total = chain.p_typ0
-    if total < _NORM_FLOOR:
-        return 0.0
-    for idx in range(test_index + 1):
-        if idx == len(chain.p_yes):
-            chain = plan.extend_chain(chain)
-        if idx == test_index:
-            break
-        p_no = 1.0 - chain.p_yes[idx]
-        if p_no < _NORM_FLOOR:
-            return 0.0
-        total *= p_no
-        p_typ = chain.p_typ[idx]
-        if p_typ < _NORM_FLOOR:
-            return 0.0
-        total *= p_typ
-    return total * chain.p_yes[test_index]
-
-
-def amplitude_chain(plan: DecoderPlan, ch: CQChannel, j_seq, labels, m: int) -> complex:
-    """<state| P (1-P_m) P ... P (1-P_1) P |state> for the plan's first m tests.
-
-    This is the surviving amplitude after m "no" answers with every
-    typicality projection applied, evaluated without any renormalization.
-    """
-    if ch is not plan.channel:
-        raise ValidationError("ch is not the channel the plan was built for")
-    if m < 0 or m > plan.num_tests:
-        raise ValidationError(f"m must be in [0, {plan.num_tests}]")
-    bra = plan.masked_state(j_seq, labels)
-    psi = bra.copy()
-    for idx in range(m):
-        amps = plan.test_yes_amplitudes(psi, idx)
-        psi = plan.apply_no(psi, idx, amps)
-    return complex(np.vdot(bra, psi))
+    masses = chain.masses
+    i = bisect_right(masses, u)
+    while i == len(masses) and chain.psi is not None:
+        chain = plan.advance_chain(chain)
+        masses = chain.masses
+        i = bisect_right(masses, u, i)
+    if i == len(masses):
+        return Transcript(ABORT_EXHAUSTED, None, labels, plan.num_tests)
+    if i % 2:
+        return Transcript(DECODED, plan.tests[i // 2].message, labels, (i + 1) // 2)
+    return Transcript(ABORT_ATYPICAL, None, labels, (i + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -571,7 +637,7 @@ class POVMSet:
     @property
     def widths(self) -> np.ndarray:
         """Column count r of each element."""
-        return np.array([b.shape[1] for b in self.plan.blocks], dtype=int)
+        return np.diff(self.plan.offsets)
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -648,23 +714,20 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
         raise ResourceBudgetError(
             f"{dim_h}x{dim_h} POVM accumulation exceeds work budget", reason="work"
         )
-    widths = [b.shape[1] for b in plan.blocks]
-    offsets = np.cumsum([0] + widths)
+    offsets = plan.offsets
     chain = np.eye(dim_h, dtype=complex)  # C_1 = P
     amps = np.empty((offsets[-1], dim_h), dtype=complex)  # a_l = W_l^dagger c_l, stacked
     abort = np.zeros((dim_h, dim_h), dtype=complex)
-    for start, stop in _wy_runs(widths, dim_h):
+    for run, (start, stop) in enumerate(plan.runs):
         a = amps[offsets[start]:offsets[stop]]
+        w, w_adj = plan.run_columns(run), plan.run_adjoint(run)
         if stop - start == 1:  # one test: T_B = I
-            w, w_adj = plan.blocks[start], plan.adjoints[start]
             np.matmul(w_adj, chain, out=a)
             step = w @ a
             kept = w_adj @ step  # W_l^dagger W_l a_l
             chain -= step
         else:
-            w = np.concatenate(plan.blocks[start:stop], axis=1)
-            w_adj = np.concatenate(plan.adjoints[start:stop])
-            owner = np.repeat(np.arange(stop - start), widths[start:stop])
+            owner = np.repeat(np.arange(stop - start), np.diff(offsets[start:stop + 1]))
             own = owner[:, None] == owner[None, :]
             gram = w_adj @ w
             diagonal = gram[own]  # each test's W_l^dagger W_l

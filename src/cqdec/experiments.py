@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import rate_condition
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel, holevo_chi
 from .codebook import sample_codebook
@@ -134,7 +135,7 @@ def run_point(
 ) -> PointResult:
     """One (n, R, variant) grid point: sample, decode, optionally cross-check exactly."""
     chi = holevo_chi(ch)
-    margin = chi - cfg.delta - rate
+    margin = rate_condition(ch, rate, cfg.delta)
     base = dict(n=n, rate=rate, variant=variant, seed=seed, chi=chi, margin=margin)
     try:
         params = TypicalityParams(
@@ -173,8 +174,7 @@ def run_point(
         rng = np.random.default_rng([seed, 1])
         trials = cfg.trials
         errors = aborts = wrong = 0
-        for _ in range(trials):
-            s = int(rng.integers(codebook.num_messages))
+        for s in rng.integers(codebook.num_messages, size=trials).tolist():
             tr = simulate_trial(plan, ch, s, params, rng)
             if tr.outcome != DECODED:
                 errors += 1

@@ -40,7 +40,6 @@ from cqdec.decoder import (
     build_povm,
     exact_error_probability,
     simulate_trial,
-    transcript_probability,
     verify_mixture_identity,
 )
 from cqdec.errors import ResourceBudgetError
@@ -53,7 +52,7 @@ from cqdec.typicality import (
     subordination_gap,
 )
 
-from conftest import embedded_povm
+from conftest import embedded_povm, transcript_probability
 
 COS45 = math.cos(math.pi / 4)
 FIXTURES = fixture_channels()

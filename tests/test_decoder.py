@@ -11,14 +11,13 @@ from cqdec.decoder import (
     ABORT_ATYPICAL,
     ABORT_EXHAUSTED,
     DECODED,
-    amplitude_chain,
+    DecoderPlan,
     average_amplitude,
     average_amplitude_powers,
     build_plan,
     build_povm,
     exact_error_probability,
     simulate_trial,
-    transcript_probability,
     verify_mixture_identity,
 )
 from cqdec.errors import ValidationError
@@ -30,7 +29,12 @@ from cqdec.typicality import (
     conditional_typical_outputs,
 )
 
-from conftest import assert_povm_matches_the_sequential_chain, embedded_povm
+from conftest import (
+    amplitude_chain,
+    assert_povm_matches_the_sequential_chain,
+    embedded_povm,
+    transcript_probability,
+)
 
 COS45 = math.cos(math.pi / 4)
 
@@ -101,12 +105,6 @@ class TestBuildPlan:
         k = len([m for m in messages if m != 0])
         assert all(m != 0 for m in messages[:k])
         assert all(m == 0 for m in messages[k:])
-
-    def test_m_theory_pure_alphabet(self):
-        ch = builtin_channel("pure_pair", overlap=0.5)
-        cb = sample_codebook(ch, 4, 0.5, 0.3, seed=2)
-        plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
-        assert plan.m_theory == pytest.approx(2 ** (4 * 0.5))
 
     def test_bad_arguments(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
@@ -359,15 +357,17 @@ class TestPOVM:
         assert povm.min_element_eigenvalue() >= -1e-10
 
     @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
-    def test_completeness_sees_a_chain_whose_no_steps_are_dropped(self, variant):
-        # zero blocks with the adjoints kept make every "no" step c <- c - W a
+    def test_completeness_sees_a_chain_whose_no_steps_are_dropped(self, variant, monkeypatch):
+        # zero columns with the adjoints kept make every "no" step c <- c - W a
         # a no-op while the amplitudes a = W^dagger c still read the tests;
         # the abort block is built from the chain, so completeness must fail
         ch = builtin_channel("depolarized_pair", overlap=0.3, noise=0.4)
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=14)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.4), variant=variant)
         assert build_povm(plan).completeness_defect() <= 1e-12
-        broken = dataclasses.replace(plan, blocks=tuple(np.zeros_like(b) for b in plan.blocks))
+        broken = dataclasses.replace(plan, columns=np.zeros_like(plan.columns))
+        adjoint = plan.run_adjoint
+        monkeypatch.setattr(DecoderPlan, "run_adjoint", lambda self, run: adjoint(run))
         assert build_povm(broken).completeness_defect() > 0.1
 
     @pytest.mark.parametrize("name, params, n, rate, delta, delta_cond, variant", [

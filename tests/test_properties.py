@@ -10,8 +10,11 @@ dense POVM, the Kronecker-factor mixture identity against a pair-by-pair
 outer-product accumulation, and the exact oracle against the three-operand
 einsum on the kron outputs and, per message, against the Born-rule chain
 summed over every label sequence.  The memoised Monte Carlo
-path is checked against an unmemoised walk with one rng.choice per letter:
-the same transcripts and the same generator state, also under a memo cap.
+path, which reads a trial's outcome from WY-run outcome masses with one
+uniform, is checked against the same law walked one test at a time with one
+rng.choice per letter: the same transcripts and the same generator state,
+also under a memo cap, and the same decode masses to 1e-12.  Its outcome
+frequencies per message are checked against the exact oracle.
 """
 import dataclasses
 import itertools
@@ -36,7 +39,6 @@ from cqdec.decoder import (
     product_output_state,
     sample_output_labels,
     simulate_trial,
-    transcript_probability,
     verify_mixture_identity,
 )
 from cqdec.linalg import digit_table, product_entries
@@ -53,6 +55,8 @@ from conftest import (
     channel_cases,
     embedded_povm,
     random_density,
+    sequential_masses,
+    transcript_probability,
 )
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -310,57 +314,31 @@ def test_oracle_matches_the_born_chain_per_message(case):
 
 
 def reference_trial(plan, true_index, rng):
-    """One trial without the memo: one rng.choice per letter, the chain walked afresh."""
-    floor = 1e-14
+    """One trial without the memo: one rng.choice per letter, one uniform, the chain walked afresh.
+
+    The outcome is the first cumulative mass of sequential_masses above the
+    uniform: entry 0 the opening abort, entry 2l + 1 a decode at test l,
+    entry 2l + 2 an abort after it; past the last entry the tests are exhausted.
+    """
     ch = plan.channel
     word = plan.codebook.codewords[true_index]
     labels = tuple(int(rng.choice(ch.letters[j].probs.size, p=ch.letters[j].probs))
                    for j in word)
-    psi = plan.masked_state(word, labels)
-    p_typ = float(np.vdot(psi, psi).real)
-    if not (p_typ >= floor and rng.random() < p_typ):
-        return Transcript(ABORT_ATYPICAL, None, labels, 0)
-    psi = psi / math.sqrt(p_typ)
-    for idx in range(plan.num_tests):
-        amps = plan.test_yes_amplitudes(psi, idx)
-        p_yes = min(float(np.vdot(amps, amps).real), 1.0)
-        if p_yes >= floor and rng.random() < p_yes:
-            return Transcript(DECODED, plan.tests[idx].message, labels, idx + 1)
-        p_no = 1.0 - p_yes
-        if p_no < floor:  # the no-branch is impossible: force the decode
-            return Transcript(DECODED, plan.tests[idx].message, labels, idx + 1)
-        psi = plan.apply_no(psi, idx, amps) / math.sqrt(p_no)
-        p_typ = min(float(np.vdot(psi, psi).real), 1.0)
-        if not (p_typ >= floor and rng.random() < p_typ):
-            return Transcript(ABORT_ATYPICAL, None, labels, idx + 1)
-        psi = psi / math.sqrt(p_typ)
+    u = rng.random()
+    for i, total in enumerate(sequential_masses(plan, word, labels)):
+        if u < total:
+            if i % 2:
+                return Transcript(DECODED, plan.tests[i // 2].message, labels, (i + 1) // 2)
+            return Transcript(ABORT_ATYPICAL, None, labels, (i + 1) // 2)
     return Transcript(ABORT_EXHAUSTED, None, labels, plan.num_tests)
 
 
 def reference_transcript_probability(plan, word, labels, test_index):
-    """P(no at every earlier test, yes at test_index), the chain walked afresh.
-
-    Every p_yes is clipped at 1 as in simulate_trial, the final one too.
-    """
-    psi = plan.masked_state(word, labels)
-    total = float(np.vdot(psi, psi).real)
-    if total < 1e-14:
+    """Decode mass of test_index in the chain walked afresh, one test at a time."""
+    masses = list(itertools.islice(sequential_masses(plan, word, labels), 2 * test_index + 2))
+    if len(masses) < 2 * test_index + 2:
         return 0.0
-    psi = psi / math.sqrt(total)
-    for idx in range(test_index):
-        amps = plan.test_yes_amplitudes(psi, idx)
-        p_no = 1.0 - min(float(np.vdot(amps, amps).real), 1.0)
-        if p_no < 1e-14:
-            return 0.0
-        total *= p_no
-        psi = plan.apply_no(psi, idx, amps) / math.sqrt(p_no)
-        p_typ = min(float(np.vdot(psi, psi).real), 1.0)
-        if p_typ < 1e-14:
-            return 0.0
-        total *= p_typ
-        psi = psi / math.sqrt(p_typ)
-    amps = plan.test_yes_amplitudes(psi, test_index)
-    return total * min(float(np.vdot(amps, amps).real), 1.0)
+    return masses[2 * test_index + 1] - masses[2 * test_index]
 
 
 def assert_trials_match_the_reference(plan, seed, trials=60):
@@ -386,8 +364,7 @@ def test_a_capped_memo_stays_within_its_limit_and_changes_no_transcript(case, se
     assert_trials_match_the_reference(plan, seed)
     memo = plan.memo
     assert memo.size <= limit
-    stored = sum(plan.model.dim_H + 1 + len(c.p_yes) + len(c.p_typ)
-                 for c in memo.chains.values())
+    stored = sum(plan.model.dim_H + len(c.masses) for c in memo.chains.values())
     assert stored == memo.size
 
 
@@ -400,8 +377,38 @@ def test_transcript_probability_matches_the_unmemoised_chain(case):
         spectra = [ch.letters[j].probs for j in word]
         for labels in itertools.product(*(range(p.size) for p in spectra)):
             for idx in range(plan.num_tests):
-                assert transcript_probability(plan, ch, word, labels, idx) == \
-                    reference_transcript_probability(plan, word, labels, idx)
+                assert abs(transcript_probability(plan, ch, word, labels, idx)
+                           - reference_transcript_probability(plan, word, labels, idx)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, params, n, rate, delta, variant", [
+    # dim_H = 15 of 64: 32 rank-one tests in three WY runs, or two subspace
+    # tests of width 16, so the abort term 1 - W^dagger W has r > 1
+    ("depolarized_pair", {"overlap": 0.5, "noise": 0.3}, 6, 0.1, 0.1, "rank_one"),
+    ("depolarized_pair", {"overlap": 0.5, "noise": 0.3}, 6, 0.1, 0.1, "subspace"),
+    ("pure_pair", {"overlap": math.cos(math.pi / 4)}, 8, 0.3, 0.2, "rank_one"),
+])
+def test_trial_frequencies_per_message_match_the_exact_oracle(name, params, n, rate, delta,
+                                                              variant):
+    # 2000 trials per message; each frequency within 4 sigma of the exact
+    # mass, sigma^2 = p (1 - p) / trials, plus 4 / trials for the few-count
+    # regime of masses near 0 or 1
+    trials = 2000
+    ch = builtin_channel(name, **params)
+    cb = sample_codebook(ch, n, rate, delta, seed=5)
+    plan = build_plan(cb, ch, TypicalityParams(n=n, delta=delta), variant=variant)
+    report = exact_error_probability(build_povm(plan), ch, cb)
+    rng = np.random.default_rng(11)
+    for s in range(cb.num_messages):
+        counts = np.zeros(3)  # decoded s, decoded another message, aborted
+        for _ in range(trials):
+            tr = simulate_trial(plan, ch, s, rng=rng)
+            counts[0 if tr.decoded == s else 1 if tr.outcome == DECODED else 2] += 1
+        exact = (report.per_message_success[s], report.per_message_misdecode[s],
+                 report.per_message_abort[s])
+        for freq, p in zip(counts / trials, exact):
+            bound = 4 * math.sqrt(max(p * (1 - p), 0.0) / trials) + 4 / trials
+            assert abs(freq - p) <= bound, (s, counts, exact)
 
 
 @SETTINGS
