@@ -12,8 +12,8 @@ from .bounds import (
     rate_condition,
 )
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .channel import CQChannel, builtin_channel, fixture_channels, holevo_chi, make_channel
-from .codebook import Codebook, codebook_to_text, parse_codebook_text, sample_codebook
+from .channel import CQChannel, builtin_channel, holevo_chi, make_channel
+from .codebook import Codebook, sample_codebook
 from .decoder import (
     ABORT_ATYPICAL,
     ABORT_EXHAUSTED,
@@ -30,12 +30,7 @@ from .decoder import (
     verify_mixture_identity,
 )
 from .errors import ConfigError, CqdecError, ResourceBudgetError, ValidationError
-from .linalg import (
-    SpectralDecomposition,
-    shannon_entropy,
-    spectral_decompose,
-    von_neumann_entropy,
-)
+from .linalg import SpectralDecomposition, spectral_decompose
 from .pgm import pgm_error_probability
 from .typicality import (
     ConditionalTypicalSet,

@@ -238,17 +238,6 @@ def builtin_channel(name: str, **params) -> CQChannel:
     return make_channel(priors, outs)
 
 
-def fixture_channels() -> dict[str, CQChannel]:
-    """The default benchmark suite; chi spans roughly 0.19 to 1 bit."""
-    return {
-        "classical_bit": builtin_channel("classical_bit"),
-        "pure_pair_0": builtin_channel("pure_pair", overlap=0.0),
-        "pure_pair_05": builtin_channel("pure_pair", overlap=0.5),
-        "pure_pair_cos45": builtin_channel("pure_pair", overlap=math.cos(math.pi / 4)),
-        "depolarized_pair": builtin_channel("depolarized_pair", overlap=0.0, noise=0.5),
-    }
-
-
 _CHANNEL_FILE_KEYS = {"builtin", "overlap", "flip", "noise", "letter_dim", "priors", "outputs"}
 _BUILTIN_PARAM_KEYS = {"overlap", "flip", "noise"}
 

@@ -8,7 +8,6 @@ collisions for small-n experiments where they would dominate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,8 +15,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
-from .config import parse_kv_text
-from .errors import ConfigError, ResourceBudgetError, ValidationError
+from .errors import ResourceBudgetError, ValidationError
 from .typicality import is_typical_sequence, typical_set_size
 
 _SNAP = 1e-9
@@ -72,19 +70,23 @@ def sample_codebook(
         raise ValidationError(
             f"cannot draw {target} distinct codewords from a typical set of {available}"
         )
+    # rng.choice(d, size=n, p=priors) reads n uniforms through this CDF, and a
+    # block of rows reads the same stream.  A block has a row per missing
+    # codeword, so it never overshoots the target
+    cdf = ch.priors.cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     words: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     # the typical set is nonempty, so rejection terminates with probability 1
     while len(words) < target:
-        seq = tuple(int(x) for x in rng.choice(ch.alphabet_size, size=n, p=ch.priors))
-        if not is_typical_sequence(ch.priors, seq, delta_source):
-            continue
-        if distinct:
-            if seq in seen:
-                continue
-            seen.add(seq)
-        words.append(seq)
+        block = cdf.searchsorted(rng.random((target - len(words), n)), side="right")
+        for seq in map(tuple, block[is_typical_sequence(ch.priors, block, delta_source)].tolist()):
+            if distinct:
+                if seq in seen:
+                    continue
+                seen.add(seq)
+            words.append(seq)
     return Codebook(
         n=n,
         rate=rate,
@@ -92,38 +94,4 @@ def sample_codebook(
         delta_source=delta_source,
         distinct=distinct,
         codewords=tuple(words),
-    )
-
-
-_CODEBOOK_KEYS = {"n", "rate", "seed", "delta_source", "distinct", "codewords"}
-
-
-def codebook_to_text(cb: Codebook) -> str:
-    lines = [
-        f"n = {cb.n}",
-        f"rate = {cb.rate!r}",
-        f"seed = {cb.seed}",
-        f"delta_source = {cb.delta_source!r}",
-        f"distinct = {json.dumps(cb.distinct)}",
-        f"codewords = {json.dumps([list(w) for w in cb.codewords])}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def parse_codebook_text(text: str) -> Codebook:
-    doc = parse_kv_text(text)
-    unknown = set(doc) - _CODEBOOK_KEYS
-    if unknown:
-        raise ConfigError(f"unknown codebook keys: {sorted(unknown)}")
-    missing = _CODEBOOK_KEYS - set(doc)
-    if missing:
-        raise ConfigError(f"codebook document missing keys: {sorted(missing)}")
-    words = tuple(tuple(int(x) for x in w) for w in doc["codewords"])
-    return Codebook(
-        n=int(doc["n"]),
-        rate=float(doc["rate"]),
-        seed=int(doc["seed"]),
-        delta_source=float(doc["delta_source"]),
-        distinct=bool(doc["distinct"]),
-        codewords=words,
     )

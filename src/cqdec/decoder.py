@@ -26,10 +26,10 @@ passed, the state in front of test k depends only on the initial state, the
 product eigenvector of (codeword, labels).  So the plan memoises each
 initial state's outcome masses (see BornChain): the cumulative masses of the
 opening abort and of a decode at each test and an abort after it, appended a
-run at a time from all of the run's amplitudes at once.  A trial draws its
-labels from one block of uniforms read through each letter's CDF, which
-consumes the generator exactly as one ``rng.choice`` per letter would, then
-one uniform, and its outcome is the first cumulative mass above it.
+run at a time from all of the run's amplitudes at once.  A trial reads one
+block of n + 1 uniforms: its labels from the first n, each through its
+letter's CDF as ``rng.choice`` would, and its outcome as the first
+cumulative mass above the last.
 
 The POVM's no-chain C_1 = P, C_(l+1) = P (1 - P_l) C_l also maps H into H, so
 every element C_l^dagger P_l C_l is supported on H and the abort element is
@@ -56,11 +56,12 @@ from .codebook import Codebook
 from .errors import ResourceBudgetError, ValidationError
 from .linalg import digit_table, product_entries
 from .typicality import (
+    ConditionalTypicalSet,
     MaskedHermitian,
     TypicalModel,
     TypicalityParams,
     _ClassBlockCache,
-    _letter_classes,
+    _letter_type,
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
@@ -361,43 +362,48 @@ def build_plan(
     if model is None:
         model = build_typical_model(ch, params, budgets)
 
-    # each test with its columns in its codeword's block
-    entries: list[tuple[PlanTest, int, int]] = []
-    cts_cache: dict[tuple[int, ...], object] = {}
-    for s, word in enumerate(codebook.codewords):
-        if word not in cts_cache:
-            cts_cache[word] = conditional_typical_outputs(ch, word, params.cond_delta, budgets)
-        cts = cts_cache[word]
+    # one class-block cache for the plan: codewords of one type share their label table
+    cache = _ClassBlockCache(ch, params.n, params.cond_delta)
+    sets: dict[tuple[int, ...], ConditionalTypicalSet] = {}
+    num_tests = 0
+    for word in codebook.codewords:
+        if word not in sets:
+            sets[word] = conditional_typical_outputs(ch, word, params.cond_delta, budgets, cache)
         if variant == RANK_ONE:
-            for i in range(cts.count):
-                labels = tuple(int(x) for x in cts.labels[i])
-                test = PlanTest(message=s, codeword=word, labels=labels)
-                entries.append((test, i, i + 1))
-                if len(entries) > budgets.set_limit:
-                    raise ResourceBudgetError(
-                        f"plan exceeds set budget {budgets.set_limit} tests", reason="set"
-                    )
-        else:
-            entries.append((PlanTest(message=s, codeword=word, labels=None), 0, cts.count))
+            num_tests += sets[word].count
+            if num_tests > budgets.set_limit:
+                raise ResourceBudgetError(
+                    f"plan exceeds set budget {budgets.set_limit} tests", reason="set"
+                )
+    messages = list(range(codebook.num_messages))
     if ordering == "worst_case":
-        # a stable sort keeps the schedule order within both parts
-        entries.sort(key=lambda e: e[0].message == worst_index)
+        messages.remove(worst_index)
+        messages.append(worst_index)
 
     dim_h = model.dim_H
-    width = sum(cts.count for cts in cts_cache.values())
+    width = sum(cts.count for cts in sets.values())
     if width * max(dim_h, 1) > budgets.work_limit:
         raise ResourceBudgetError(
             f"masked test blocks {dim_h}x{width} exceed work budget", reason="work"
         )
-    word_blocks = {
-        word: product_entries([ch.coords[int(j)] for j in word], model.masked_digits, cts.labels)
-        for word, cts in cts_cache.items()
-    }
-    widths = [stop - start for _, start, stop in entries]
+    words = [codebook.codewords[s] for s in messages]
+    counts = [sets[word].count for word in words]
+    tests: list[PlanTest] = []
+    for s, word in zip(messages, words):
+        if variant == RANK_ONE:
+            rows = sets[word].labels.tolist()
+            tests.extend(PlanTest(message=s, codeword=word, labels=tuple(r)) for r in rows)
+        else:
+            tests.append(PlanTest(message=s, codeword=word, labels=None))
+    widths = [1] * len(tests) if variant == RANK_ONE else counts
+    # the letters' coords side by side: letter j's column k is table column j*d + k,
+    # so one product_entries call gives every test column, in schedule order
+    table = np.concatenate(ch.coords, axis=1)
+    cols = np.concatenate([sets[word].labels for word in words])
+    cols = cols + np.repeat(ch.letter_dim * np.array(words), counts, axis=0)
+    # computed as (K, dim_H), so the (dim_H, K) columns are Fortran-ordered
+    columns = product_entries([table.T] * params.n, cols, model.masked_digits).T
     offsets = np.cumsum([0] + widths)
-    columns = np.empty((dim_h, offsets[-1]), dtype=complex, order="F")
-    for (t, start, stop), at in zip(entries, offsets):
-        columns[:, at:at + stop - start] = word_blocks[t.codeword][:, start:stop]
     return DecoderPlan(
         channel=ch,
         model=model,
@@ -405,7 +411,7 @@ def build_plan(
         variant=variant,
         ordering=ordering,
         worst_index=worst_index,
-        tests=tuple(t for t, _, _ in entries),
+        tests=tuple(tests),
         columns=columns,
         offsets=offsets,
         runs=tuple(_wy_runs(widths, dim_h)),
@@ -423,18 +429,18 @@ class Transcript:
     tests_run: int
 
 
-def sample_output_labels(ch: CQChannel, j_seq, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw eigenlabels from the full conditional spectral distribution.
+def sample_output_labels(ch: CQChannel, j_seq, uniforms) -> tuple[int, ...]:
+    """Eigenlabels from the full conditional spectral distribution, one uniform per letter.
 
     The physical channel knows nothing about typicality: atypical label
     sequences are drawn with their true probability and simply tend to abort
-    at the first typicality check.  One block of uniforms is read through
-    each letter's normalised CDF (the label is the count of entries <= u),
-    which gives ``rng.choice``'s labels and leaves the generator where one
-    ``rng.choice`` per letter would.
+    at the first typicality check.  Each uniform is read through its letter's
+    normalised CDF (the label is the count of entries <= u), so the labels of
+    ``rng.random(n)`` are those of one ``rng.choice`` per letter, which
+    leaves the generator in the same state.
     """
     cdfs = ch.label_cdfs
-    return tuple(map(bisect_right, [cdfs[j] for j in j_seq], rng.random(len(j_seq)).tolist()))
+    return tuple(map(bisect_right, [cdfs[j] for j in j_seq], uniforms))
 
 
 def simulate_trial(
@@ -446,12 +452,12 @@ def simulate_trial(
 ) -> Transcript:
     """Run one Born-rule measurement chain for the sent message ``true_index``.
 
-    The channel output eigenlabels are sampled exactly from the per-letter
-    spectral weights, then one uniform picks the outcome from the
+    One block of n + 1 uniforms drives the trial.  The first n sample the
+    channel output eigenlabels exactly from the per-letter spectral weights
+    (see sample_output_labels); the last picks the outcome from the
     cumulative masses of the plan's memoised chain of the initial state
-    (see BornChain): the first entry above the uniform.  The chain is
-    advanced a WY run at a time, only while the uniform lies past its
-    current depth.
+    (see BornChain): the first entry above it.  The chain is advanced a WY
+    run at a time, only while that uniform lies past its current depth.
     """
     if ch is not plan.channel:
         raise ValidationError("ch is not the channel the plan was built for")
@@ -460,8 +466,8 @@ def simulate_trial(
     if params is not None and params.n != plan.model.n:
         raise ValidationError("params.n does not match the plan")
     word = plan.codebook.codewords[true_index]
-    labels = sample_output_labels(ch, word, rng)
-    u = rng.random()
+    *uniforms, u = rng.random(len(word) + 1).tolist()
+    labels = sample_output_labels(ch, word, uniforms)
     chain = plan.born_chain(word, labels)
     masses = chain.masses
     i = bisect_right(masses, u)
@@ -573,16 +579,14 @@ def verify_mixture_identity(
     perms_by_type: dict[tuple[tuple[int, int], ...], list[np.ndarray]] = {}
     pairs = 0
     for row in tset.sequences:
-        classes = _letter_classes(row)
-        count = math.prod(cache.count(j, pos.size) for j, pos in classes)
+        key, order = _letter_type(row)
+        count = cache.type_size(key)
         pairs += count
         if pairs > budgets.set_limit:
             raise ResourceBudgetError(
                 f"mixture identity needs more than {budgets.set_limit} pairs", reason="set"
             )
         if count:
-            key = tuple((j, pos.size) for j, pos in classes)
-            order = np.concatenate([pos for _, pos in classes])
             perms_by_type.setdefault(key, []).append(np.argsort(order))
     log_priors = np.log(ch.priors)
     factors: dict[tuple[int, int], np.ndarray] = {}

@@ -9,7 +9,6 @@ point share one codebook: comparisons are on identical codes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,6 +235,8 @@ def run_grid(
             for variant in variants:
                 tasks.append((ch, cfg, n, rate, variant, seed, budgets))
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~15 ms of import, for --jobs > 1 only
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_point_task, tasks))
     else:

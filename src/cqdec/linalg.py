@@ -78,32 +78,6 @@ def entropy_of_spectrum(eigenvalues) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def von_neumann_entropy(a) -> float:
-    """S(rho) = -Tr[rho log2 rho] for a density matrix (PSD, unit trace)."""
-    m = as_complex_matrix(a)
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise ValidationError(f"density matrix must have unit trace, got {tr}")
-    dec = spectral_decompose(m)
-    if dec.eigenvalues.min() < -TOL_EIG:
-        raise ValidationError(
-            f"density matrix has negative eigenvalue {dec.eigenvalues.min():.3e}"
-        )
-    return max(0.0, entropy_of_spectrum(dec.eigenvalues))
-
-
-def shannon_entropy(p) -> float:
-    """Entropy in bits of a probability vector."""
-    v = np.asarray(p, dtype=float)
-    if v.ndim != 1:
-        raise ValidationError("probability vector must be one-dimensional")
-    if v.min() < -TOL_EIG:
-        raise ValidationError(f"negative probability {v.min():.3e}")
-    if abs(v.sum() - 1.0) > TOL_TRACE:
-        raise ValidationError(f"probabilities must sum to 1, got {v.sum()!r}")
-    return entropy_of_spectrum(np.clip(v, 0.0, None))
-
-
 def digit_table(d: int, n: int) -> np.ndarray:
     """(d^n, n) table of base-d digits; letter 1 is the most significant digit."""
     idx = np.arange(d**n)

@@ -66,12 +66,12 @@ class TypicalityParams:
         return self.delta if self.delta_cond is None else self.delta_cond
 
 
-def is_typical_sequence(priors, seq, delta_source: float) -> bool:
-    """Frequency-typicality membership test, no enumeration."""
+def is_typical_sequence(priors, seqs, delta_source: float) -> np.ndarray:
+    """Frequency-typicality mask over the rows of a (k, n) block of letter sequences."""
     p = np.asarray(priors, dtype=float)
-    counts = np.bincount(np.asarray(seq, dtype=int), minlength=p.size)
-    n = len(seq)
-    return bool(np.all(np.abs(counts / n - p) <= delta_source + _FREQ_WIDEN))
+    seqs = np.asarray(seqs, dtype=int)
+    counts = (seqs[:, :, None] == np.arange(p.size)).sum(axis=1)
+    return np.all(np.abs(counts / seqs.shape[1] - p) <= delta_source + _FREQ_WIDEN, axis=1)
 
 
 def _bounded_counts(targets, n_total: int, delta: float, size: int) -> list[tuple[int, ...]]:
@@ -201,7 +201,8 @@ class _ClassBlockCache:
 
     The frequency window |m_k/n - p_j * p_(k|j)| <= delta_cond depends only on
     the letter and on how many positions carry it, so blocks are shared across
-    codewords of equal type.
+    codewords of equal type, and so is each type's label table (see
+    ``type_table``).
     """
 
     def __init__(self, ch: CQChannel, n_total: int, delta_cond: float):
@@ -210,6 +211,8 @@ class _ClassBlockCache:
         self.delta = delta_cond
         self._blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._counts: dict[tuple[int, int], int] = {}
+        self._sizes: dict[tuple, int] = {}
+        self._tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def count(self, letter: int, size: int) -> int:
         key = (letter, size)
@@ -218,6 +221,12 @@ class _ClassBlockCache:
                 _multinomial(size, m) for m in self._count_vectors(letter, size)
             )
         return self._counts[key]
+
+    def type_size(self, key: tuple) -> int:
+        """Label sequences of a type: the product of its class block sizes."""
+        if key not in self._sizes:
+            self._sizes[key] = math.prod(self.count(j, m) for j, m in key)
+        return self._sizes[key]
 
     def _count_vectors(self, letter: int, size: int) -> list[tuple[int, ...]]:
         targets = float(self.ch.priors[letter]) * self.ch.letters[letter].probs
@@ -243,40 +252,59 @@ class _ClassBlockCache:
             self._blocks[key] = (labels, probs)
         return self._blocks[key]
 
+    def type_table(self, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """A type's label sequences and their probs, columns in class order.
 
-def _letter_classes(j_seq) -> list[tuple[int, np.ndarray]]:
+        The rows run through the Cartesian product of the class blocks, the
+        last class fastest.
+        """
+        if key not in self._tables:
+            total = self.type_size(key)
+            labels = np.empty((total, self.n_total), dtype=np.int16)
+            probs = np.ones(total)
+            reps_after, at = total, 0
+            for j, m in key if total else ():
+                blk, blk_probs = self.block(j, m)
+                c = blk.shape[0]
+                reps_after //= c
+                idx = np.tile(np.repeat(np.arange(c), reps_after), total // (reps_after * c))
+                labels[:, at:at + m] = blk[idx]
+                probs *= blk_probs[idx]
+                at += m
+            self._tables[key] = (labels, probs)
+        return self._tables[key]
+
+
+def _letter_type(j_seq) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """A sequence's type, its (letter, class size) pairs by letter, and its class order.
+
+    The class order lists the positions of each letter in turn, ascending.
+    """
     arr = np.asarray(j_seq, dtype=int)
-    letters = sorted(set(arr.tolist()))
-    return [(j, np.nonzero(arr == j)[0]) for j in letters]
+    key = tuple((j, c) for j, c in enumerate(np.bincount(arr).tolist()) if c)
+    return key, np.argsort(arr, kind="stable")
 
 
 def _assemble_labels(
-    ch: CQChannel, j_seq, cache: _ClassBlockCache
+    cache: _ClassBlockCache, key: tuple, order: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All admissible full label sequences for one codeword, and their probs."""
-    classes = _letter_classes(j_seq)
-    n = len(j_seq)
-    blocks = [cache.block(j, len(pos)) for j, pos in classes]
-    counts = [b[0].shape[0] for b in blocks]
-    total = 1
-    for c in counts:
-        total *= c
-    if total == 0:
-        return np.empty((0, n), dtype=np.int16), np.empty(0)
-    labels = np.empty((total, n), dtype=np.int16)
-    probs = np.ones(total)
-    reps_after = total
-    for (j, pos), (blk, blk_probs), c in zip(classes, blocks, counts):
-        reps_after //= c
-        reps_before = total // (reps_after * c)
-        idx = np.tile(np.repeat(np.arange(c), reps_after), reps_before)
-        labels[:, pos] = blk[idx]
-        probs *= blk_probs[idx]
+    """All admissible full label sequences for one codeword, and their probs.
+
+    The table of the codeword's type ``key`` with its columns moved back to
+    the codeword's positions, ``order`` its class order (see _letter_type).
+    """
+    table, probs = cache.type_table(key)
+    labels = np.empty_like(table)
+    labels[:, order] = table
     return labels, probs
 
 
 def conditional_typical_outputs(
-    ch: CQChannel, j_seq, delta_cond: float, budgets: Budgets = DEFAULT_BUDGETS
+    ch: CQChannel,
+    j_seq,
+    delta_cond: float,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    cache: _ClassBlockCache | None = None,
 ) -> ConditionalTypicalSet:
     """Eigenlabel sequences whose per-letter label counts are frequency-typical.
 
@@ -284,21 +312,26 @@ def conditional_typical_outputs(
     |m_jk/n - p_j * p_(k|j)| <= delta_cond, applied within the positions of
     ``j_seq`` that carry letter j (letters absent from ``j_seq`` impose no
     constraint).  Labels with zero conditional eigenvalue never appear.
+    ``cache`` shares label tables between calls with the same channel, n and
+    delta_cond; without it every call enumerates its own.
     """
-    j_tuple = tuple(int(j) for j in j_seq)
-    if any(j < 0 or j >= ch.alphabet_size for j in j_tuple):
+    j_tuple = tuple(map(int, j_seq))
+    if min(j_tuple, default=0) < 0 or max(j_tuple, default=0) >= ch.alphabet_size:
         raise ValidationError(f"letters must be in [0, {ch.alphabet_size})")
-    cache = _ClassBlockCache(ch, len(j_tuple), delta_cond)
-    size = 1
-    for j, pos in _letter_classes(j_tuple):
-        size *= cache.count(j, len(pos))
+    if cache is None:
+        cache = _ClassBlockCache(ch, len(j_tuple), delta_cond)
+    elif cache.ch is not ch or cache.n_total != len(j_tuple) or cache.delta != delta_cond:
+        raise ValidationError("cache was built for another channel, n or delta_cond")
+    key, order = _letter_type(j_tuple)
+    size = cache.type_size(key)
     if size > budgets.set_limit:
         raise ResourceBudgetError(
             f"conditional typical set has {size} members, over set budget {budgets.set_limit}",
             reason="set",
         )
-    labels, probs = _assemble_labels(ch, j_tuple, cache)
-    order = np.lexsort(labels.T[::-1]) if labels.shape[0] else np.empty(0, dtype=int)
+    labels, probs = _assemble_labels(cache, key, order)
+    count = labels.shape[0]
+    order = np.lexsort(labels.T[::-1]) if count > 1 else np.arange(count)
     return ConditionalTypicalSet(
         j_seq=j_tuple, labels=labels[order], probs=probs[order], delta_cond=delta_cond
     )
@@ -436,14 +469,9 @@ def build_rho_tilde(
     """
     tset = classical_typical_set(ch.priors, params.n, params.source_delta, budgets)
     cache = _ClassBlockCache(ch, params.n, params.cond_delta)
-    counts = []
-    total_pairs = 0
-    for row in tset.sequences:
-        c = 1
-        for j, pos in _letter_classes(row):
-            c *= cache.count(j, len(pos))
-        counts.append(c)
-        total_pairs += c
+    types = [_letter_type(row) for row in tset.sequences]
+    counts = [cache.type_size(key) for key, _ in types]
+    total_pairs = sum(counts)
     if total_pairs > budgets.set_limit:
         raise ResourceBudgetError(
             f"{total_pairs} (sequence, label) pairs exceed set budget {budgets.set_limit}",
@@ -459,10 +487,10 @@ def build_rho_tilde(
         rank = np.full(model.dim_total, -1, dtype=np.int64)
         rank[model.masked_indices] = np.arange(dim_h)
         diag = np.zeros(dim_h)
-        for row, c in zip(tset.sequences, counts):
+        for row, kind, c in zip(tset.sequences, types, counts):
             if c == 0:
                 continue
-            labels, probs = _assemble_labels(ch, row, cache)
+            labels, probs = _assemble_labels(cache, *kind)
             p_seq = math.exp(float(seq_logp[row.astype(int)].sum()))
             rows = np.empty(labels.shape, dtype=np.int64)
             for i in range(n):
@@ -490,7 +518,7 @@ def build_rho_tilde(
         pending_w.clear()
         pending_total = 0
 
-    for row, c in zip(tset.sequences, counts):
+    for row, kind, c in zip(tset.sequences, types, counts):
         if c == 0:
             continue
         if dim_h * c > budgets.work_limit:
@@ -498,7 +526,7 @@ def build_rho_tilde(
                 f"dense rho_tilde block of {dim_h}x{c} exceeds work budget",
                 reason="work",
             )
-        labels, probs = _assemble_labels(ch, row, cache)
+        labels, probs = _assemble_labels(cache, *kind)
         p_seq = math.exp(float(seq_logp[row.astype(int)].sum()))
         cols = product_entries([ch.coords[int(j)] for j in row], model.masked_digits, labels)
         pending_cols.append(cols)

@@ -1,9 +1,23 @@
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cqdec.channel import make_channel
-from cqdec.errors import ValidationError
+from cqdec.channel import builtin_channel, make_channel
+from cqdec.codebook import Codebook, codeword_count
+from cqdec.config import parse_kv_text
+from cqdec.errors import ConfigError, ResourceBudgetError, ValidationError
+from cqdec.linalg import (
+    TOL_EIG,
+    TOL_TRACE,
+    as_complex_matrix,
+    entropy_of_spectrum,
+    spectral_decompose,
+)
+from cqdec.typicality import _ClassBlockCache, conditional_typical_outputs
 
 FLOOR = 1e-14
 
@@ -34,6 +48,146 @@ def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
 def random_state(rng, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def fixture_channels():
+    """The default test suite of channels; chi spans roughly 0.19 to 1 bit."""
+    return {
+        "classical_bit": builtin_channel("classical_bit"),
+        "pure_pair_0": builtin_channel("pure_pair", overlap=0.0),
+        "pure_pair_05": builtin_channel("pure_pair", overlap=0.5),
+        "pure_pair_cos45": builtin_channel("pure_pair", overlap=math.cos(math.pi / 4)),
+        "depolarized_pair": builtin_channel("depolarized_pair", overlap=0.0, noise=0.5),
+    }
+
+
+def von_neumann_entropy(a) -> float:
+    """S(rho) = -Tr[rho log2 rho] for a density matrix (PSD, unit trace)."""
+    m = as_complex_matrix(a)
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise ValidationError(f"density matrix must have unit trace, got {tr}")
+    dec = spectral_decompose(m)
+    if dec.eigenvalues.min() < -TOL_EIG:
+        raise ValidationError(
+            f"density matrix has negative eigenvalue {dec.eigenvalues.min():.3e}"
+        )
+    return max(0.0, entropy_of_spectrum(dec.eigenvalues))
+
+
+def shannon_entropy(p) -> float:
+    """Entropy in bits of a probability vector."""
+    v = np.asarray(p, dtype=float)
+    if v.ndim != 1:
+        raise ValidationError("probability vector must be one-dimensional")
+    if v.min() < -TOL_EIG:
+        raise ValidationError(f"negative probability {v.min():.3e}")
+    if abs(v.sum() - 1.0) > TOL_TRACE:
+        raise ValidationError(f"probabilities must sum to 1, got {v.sum()!r}")
+    return entropy_of_spectrum(np.clip(v, 0.0, None))
+
+
+_CODEBOOK_KEYS = {"n", "rate", "seed", "delta_source", "distinct", "codewords"}
+
+
+def codebook_to_text(cb) -> str:
+    """A codebook in the key-value format of the config files."""
+    lines = [
+        f"n = {cb.n}",
+        f"rate = {cb.rate!r}",
+        f"seed = {cb.seed}",
+        f"delta_source = {cb.delta_source!r}",
+        f"distinct = {json.dumps(cb.distinct)}",
+        f"codewords = {json.dumps([list(w) for w in cb.codewords])}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def parse_codebook_text(text: str) -> Codebook:
+    doc = parse_kv_text(text)
+    unknown = set(doc) - _CODEBOOK_KEYS
+    if unknown:
+        raise ConfigError(f"unknown codebook keys: {sorted(unknown)}")
+    missing = _CODEBOOK_KEYS - set(doc)
+    if missing:
+        raise ConfigError(f"codebook document missing keys: {sorted(missing)}")
+    words = tuple(tuple(int(x) for x in w) for w in doc["codewords"])
+    return Codebook(
+        n=int(doc["n"]),
+        rate=float(doc["rate"]),
+        seed=int(doc["seed"]),
+        delta_source=float(doc["delta_source"]),
+        distinct=bool(doc["distinct"]),
+        codewords=words,
+    )
+
+
+def reference_codewords(ch, n, rate, delta_source, seed, distinct=False):
+    """sample_codebook's codewords drawn one candidate at a time.
+
+    Each candidate is one rng.choice call, kept when every letter frequency
+    is within delta_source (+1e-12) of its prior and, with ``distinct``, when
+    it is new.
+    """
+    target = codeword_count(n, rate)
+    rng = np.random.default_rng(seed)
+    words, seen = [], set()
+    while len(words) < target:
+        seq = tuple(int(x) for x in rng.choice(ch.alphabet_size, size=n, p=ch.priors))
+        counts = np.bincount(seq, minlength=ch.alphabet_size)
+        if not np.all(np.abs(counts / n - ch.priors) <= delta_source + 1e-12):
+            continue
+        if distinct:
+            if seq in seen:
+                continue
+            seen.add(seq)
+        words.append(seq)
+    return tuple(words)
+
+
+def bruteforce_conditional_labels(ch, word, delta_cond):
+    """Every label sequence of ``word`` inside the conditional count window, lexicographic.
+
+    Filters the product of the letters' supports: for each letter j of the
+    word and label k, |m_jk/n - p_j p_(k|j)| <= delta_cond + 1e-12.  Returns
+    the labels and their probs, the products of the conditional eigenvalues.
+    """
+    n = len(word)
+    labels, probs = [], []
+    for seq in itertools.product(*(range(ch.letters[j].support) for j in word)):
+        if all(
+            abs(sum(w == j and k == x for w, x in zip(word, seq)) / n
+                - ch.priors[j] * ch.letters[j].probs[k]) <= delta_cond + 1e-12
+            for j in set(word) for k in range(ch.letters[j].support)
+        ):
+            labels.append(seq)
+            probs.append(math.prod(ch.letters[j].probs[k] for j, k in zip(word, seq)))
+    return labels, np.array(probs)
+
+
+def assert_shared_cache_matches_fresh(ch, words, delta_cond, budgets):
+    """conditional_typical_outputs with one cache for all words equals a fresh call per word.
+
+    Labels and probs must agree to the bit and in order, and a word over the
+    set budget must raise in both.  Both must also hold the brute-force label
+    set, with probs to 1e-14.
+    """
+    cache = _ClassBlockCache(ch, len(words[0]), delta_cond)
+    for word in words:
+        try:
+            fresh = conditional_typical_outputs(ch, word, delta_cond, budgets)
+        except ResourceBudgetError:
+            with pytest.raises(ResourceBudgetError):
+                conditional_typical_outputs(ch, word, delta_cond, budgets, cache)
+            continue
+        shared = conditional_typical_outputs(ch, word, delta_cond, budgets, cache)
+        assert shared.j_seq == fresh.j_seq
+        assert shared.labels.dtype == fresh.labels.dtype
+        assert shared.labels.tobytes() == fresh.labels.tobytes()
+        assert shared.probs.tobytes() == fresh.probs.tobytes()
+        labels, probs = bruteforce_conditional_labels(ch, word, delta_cond)
+        assert [tuple(r) for r in shared.labels.tolist()] == labels
+        assert np.allclose(shared.probs, probs, rtol=1e-14, atol=0.0)
 
 
 @st.composite

@@ -29,7 +29,7 @@ from cqdec.bounds import (
     gamma_lower_bound,
     measurement_budget,
 )
-from cqdec.channel import builtin_channel, fixture_channels, holevo_chi
+from cqdec.channel import builtin_channel, holevo_chi
 from cqdec.cli import main
 from cqdec.codebook import sample_codebook
 from cqdec.decoder import (
@@ -52,7 +52,7 @@ from cqdec.typicality import (
     subordination_gap,
 )
 
-from conftest import embedded_povm, transcript_probability
+from conftest import embedded_povm, fixture_channels, transcript_probability
 
 COS45 = math.cos(math.pi / 4)
 FIXTURES = fixture_channels()

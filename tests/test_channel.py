@@ -6,7 +6,6 @@ import pytest
 
 from cqdec.channel import (
     builtin_channel,
-    fixture_channels,
     holevo_chi,
     make_channel,
     parse_channel_document,
@@ -14,7 +13,7 @@ from cqdec.channel import (
 from cqdec.config import parse_kv_text
 from cqdec.errors import ConfigError, ValidationError
 
-from conftest import random_density, random_unitary
+from conftest import fixture_channels, random_density, random_unitary
 
 
 def binary_entropy(x: float) -> float:

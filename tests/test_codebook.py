@@ -3,14 +3,16 @@ import pytest
 
 from cqdec.budgets import Budgets
 from cqdec.channel import builtin_channel, make_channel
-from cqdec.codebook import (
-    codebook_to_text,
-    codeword_count,
-    parse_codebook_text,
-    sample_codebook,
-)
+from cqdec.codebook import codeword_count, sample_codebook
 from cqdec.errors import ConfigError, ResourceBudgetError, ValidationError
 from cqdec.typicality import classical_typical_set
+
+from conftest import (
+    codebook_to_text,
+    fixture_channels,
+    parse_codebook_text,
+    reference_codewords,
+)
 
 
 class TestCodewordCount:
@@ -44,6 +46,25 @@ class TestSampleCodebook:
         for w in cb.codewords:
             assert sum(w) == 2  # exactly two of each letter
             assert w in allowed
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_block_draw_matches_one_candidate_at_a_time(self, distinct):
+        channels = dict(fixture_channels())
+        channels["uneven_trit"] = make_channel(
+            [0.5, 0.3, 0.2], [np.diag([0.9, 0.1]), np.diag([0.2, 0.8]), np.eye(2) / 2]
+        )
+        compared = 0
+        for name, ch in channels.items():
+            for n in (4, 7, 10):
+                for rate, delta, seed in ((0.3, 0.0, 0), (0.6, 0.1, 1), (0.9, 0.2, 2), (0.5, 0.4, 3)):
+                    try:
+                        cb = sample_codebook(ch, n, rate, delta, seed, distinct=distinct)
+                    except ValidationError:  # empty typical set, or too few distinct members
+                        continue
+                    ref = reference_codewords(ch, n, rate, delta, seed, distinct)
+                    assert cb.codewords == ref, (name, n, rate, delta, seed)
+                    compared += 1
+        assert compared >= 40
 
     def test_reproducible(self):
         ch = builtin_channel("pure_pair", overlap=0.5)

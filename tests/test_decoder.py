@@ -33,6 +33,7 @@ from conftest import (
     amplitude_chain,
     assert_povm_matches_the_sequential_chain,
     embedded_povm,
+    fixture_channels,
     transcript_probability,
 )
 
@@ -105,6 +106,29 @@ class TestBuildPlan:
         k = len([m for m in messages if m != 0])
         assert all(m != 0 for m in messages[:k])
         assert all(m == 0 for m in messages[k:])
+
+    @pytest.mark.parametrize(
+        "variant, ordering", [("rank_one", "lexicographic"), ("subspace", "lexicographic"),
+                              ("rank_one", "worst_case"), ("subspace", "worst_case")]
+    )
+    def test_columns_equal_per_codeword_blocks_to_the_bit(self, variant, ordering):
+        params = TypicalityParams(n=5, delta=0.3)
+        for name, ch in fixture_channels().items():
+            cb = sample_codebook(ch, 5, 0.6, 0.3, seed=8)
+            plan = build_plan(cb, ch, params, ordering=ordering, variant=variant,
+                              worst_index=1 if ordering == "worst_case" else None)
+            messages = list(range(cb.num_messages))
+            if ordering == "worst_case":
+                messages = messages[:1] + messages[2:] + messages[1:2]
+            blocks = []
+            for s in messages:
+                word = cb.codewords[s]
+                labels = conditional_typical_outputs(ch, word, params.cond_delta).labels
+                blocks.append(product_entries([ch.coords[j] for j in word],
+                                              plan.model.masked_digits, labels))
+            ref = np.concatenate(blocks, axis=1)
+            assert plan.columns.shape == ref.shape, name
+            assert plan.columns.tobytes(order="F") == ref.tobytes(order="F"), name
 
     def test_bad_arguments(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
@@ -325,8 +349,6 @@ class TestMixtureIdentity:
         assert verify_mixture_identity(ch, TypicalityParams(n=3, delta=0.4)) <= 1e-10
 
     def test_all_fixtures_small(self):
-        from cqdec.channel import fixture_channels
-
         for name, ch in fixture_channels().items():
             dev = verify_mixture_identity(ch, TypicalityParams(n=4, delta=0.3))
             assert dev <= 1e-10, name

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from cqdec.errors import ValidationError
-from cqdec.linalg import (
+from cqdec.linalg import spectral_decompose
+
+from conftest import (
+    random_hermitian,
+    random_state,
+    random_unitary,
     shannon_entropy,
-    spectral_decompose,
     von_neumann_entropy,
 )
-
-from conftest import random_hermitian, random_state, random_unitary
 
 
 def binary_entropy(x: float) -> float:

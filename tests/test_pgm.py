@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqdec.budgets import Budgets
-from cqdec.channel import builtin_channel, fixture_channels
+from cqdec.channel import builtin_channel
 from cqdec.codebook import Codebook, sample_codebook
 from cqdec.decoder import product_output_state
 from cqdec.errors import ResourceBudgetError
 from cqdec.pgm import pgm_error_probability
 
-from conftest import channel_cases
+from conftest import channel_cases, fixture_channels
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cqdec.budgets import Budgets
 from cqdec.channel import builtin_channel, make_channel
 from cqdec.codebook import Codebook, sample_codebook
 from cqdec.decoder import (
@@ -41,6 +42,7 @@ from cqdec.decoder import (
     simulate_trial,
     verify_mixture_identity,
 )
+from cqdec.errors import ValidationError
 from cqdec.linalg import digit_table, product_entries
 from cqdec.typicality import (
     TypicalityParams,
@@ -52,9 +54,11 @@ from cqdec.typicality import (
 
 from conftest import (
     assert_povm_matches_the_sequential_chain,
+    assert_shared_cache_matches_fresh,
     channel_cases,
     embedded_povm,
     random_density,
+    reference_codewords,
     sequential_masses,
     transcript_probability,
 )
@@ -116,6 +120,27 @@ def test_product_entries_is_a_block_of_the_kron_product(case):
     block = product_entries(mats, digit_table(d, n)[rows], digit_table(d, n)[cols])
     assert block.shape == (rows.size, cols.size)
     assert np.array_equal(block, dense[np.ix_(rows, cols)])
+
+
+@SETTINGS
+@given(channel_cases(), st.sampled_from((0.0, 0.1, 0.2, 0.4, 2.0)), st.integers(1, 64), st.data())
+def test_shared_class_block_cache_matches_a_fresh_one(case, delta, limit, data):
+    ch, n = case
+    letter = st.integers(0, ch.alphabet_size - 1)
+    words = data.draw(st.lists(st.tuples(*[letter] * n), min_size=1, max_size=12))
+    assert_shared_cache_matches_fresh(ch, words, delta, Budgets(set_limit=limit))
+
+
+@SETTINGS
+@given(channel_cases(), st.sampled_from((0.1, 0.2, 0.4)), st.sampled_from((0.3, 0.6, 1.0)),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_codebook_block_draw_matches_one_candidate_at_a_time(case, delta, rate, seed, distinct):
+    ch, n = case
+    try:
+        cb = sample_codebook(ch, n, rate, delta, seed, distinct=distinct)
+    except ValidationError:  # empty typical set, or too few distinct members
+        assume(False)
+    assert cb.codewords == reference_codewords(ch, n, rate, delta, seed, distinct)
 
 
 @SETTINGS
@@ -418,7 +443,7 @@ def test_label_block_matches_one_choice_per_letter(case, seed, data):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
         word = data.draw(st.lists(st.integers(0, ch.alphabet_size - 1), min_size=n, max_size=n))
-        labels = sample_output_labels(ch, word, fast)
+        labels = sample_output_labels(ch, word, fast.random(n).tolist())
         assert labels == tuple(int(slow.choice(ch.letters[j].probs.size, p=ch.letters[j].probs))
                                for j in word)
         assert fast.bit_generator.state == slow.bit_generator.state

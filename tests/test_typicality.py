@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from cqdec.budgets import Budgets
-from cqdec.channel import builtin_channel, fixture_channels, make_channel
+from cqdec.channel import builtin_channel, make_channel
 from cqdec.errors import ResourceBudgetError, ValidationError
 from cqdec.linalg import digit_table
 from cqdec.typicality import (
     TypicalityParams,
+    _ClassBlockCache,
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
@@ -18,6 +19,8 @@ from cqdec.typicality import (
     subordination_gap,
     typical_set_size,
 )
+
+from conftest import assert_shared_cache_matches_fresh, fixture_channels
 
 COS45 = math.cos(math.pi / 4)
 
@@ -66,8 +69,8 @@ class TestClassicalTypicalSet:
             assert typical_set_size(p, 5, delta) == len(oracle)
 
     def test_membership_predicate(self):
-        assert is_typical_sequence([0.5, 0.5], (0, 1, 0, 1), 0.0)
-        assert not is_typical_sequence([0.5, 0.5], (0, 0, 0, 1), 0.0)
+        block = [(0, 1, 0, 1), (0, 0, 0, 1)]
+        assert is_typical_sequence([0.5, 0.5], block, 0.0).tolist() == [True, False]
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetError):
@@ -131,6 +134,23 @@ class TestConditionalTypicalOutputs:
         ch = builtin_channel("pure_pair", overlap=0.5)
         with pytest.raises(ValidationError):
             conditional_typical_outputs(ch, (0, 2), 0.2)
+
+    def test_shared_cache_matches_fresh(self):
+        channels = dict(fixture_channels(), trine=builtin_channel("trine"))
+        for ch in channels.values():
+            words = list(itertools.product(range(ch.alphabet_size), repeat=5))
+            for delta in (0.0, 0.2, 0.4):
+                # depolarized_pair's label sets at delta 0.4 hold 10, 20 or 28 members
+                for limit in (10**6, 24):
+                    assert_shared_cache_matches_fresh(ch, words, delta, Budgets(set_limit=limit))
+
+    def test_cache_for_another_point_is_rejected(self):
+        ch = builtin_channel("pure_pair", overlap=0.5)
+        cache = _ClassBlockCache(ch, 3, 0.2)
+        with pytest.raises(ValidationError):
+            conditional_typical_outputs(ch, (0, 1, 0, 1), 0.2, cache=cache)
+        with pytest.raises(ValidationError):
+            conditional_typical_outputs(ch, (0, 1, 0), 0.3, cache=cache)
 
 
 class TestTypicalModel:
