@@ -57,7 +57,6 @@ class CQChannel:
     letters: tuple[LetterSpectrum, ...]
     avg_state: np.ndarray
     avg_probs: np.ndarray
-    avg_vectors: np.ndarray
     coords: tuple[np.ndarray, ...]
     is_classical: bool
 
@@ -154,7 +153,6 @@ def make_channel(priors, outputs) -> CQChannel:
         letters=tuple(letter_specs),
         avg_state=avg,
         avg_probs=avg_dec.eigenvalues,
-        avg_vectors=v_avg,
         coords=coords,
         is_classical=classical,
     )

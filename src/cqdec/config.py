@@ -162,6 +162,8 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)
     if cfg.trials < 0:
         raise ConfigError("'trials' must be >= 0")
+    if cfg.m_max < 0:
+        raise ConfigError("'m_max' must be >= 0")
     if any(n < 1 for n in cfg.n_grid):
         raise ConfigError("'n_grid' entries must be >= 1")
     if any(r < 0 for r in cfg.r_grid):

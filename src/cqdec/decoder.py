@@ -18,8 +18,10 @@ side by side in one (dim_H, K) array.
 
 On H a run of no-steps, a product of factors (1 - W_l W_l^dagger), has the
 compact WY form of Schreiber & Van Loan (1989).  The plan splits its tests
-into runs of at most dim_H columns (a wider test is a run of its own), and
-both the Monte Carlo chains and build_povm step through them a run at a time.
+into runs of at most dim_H columns (a wider test is a run of its own) and
+keeps one amplitude map per run, built by forward substitution the first
+time it is needed (see RunFactor).  The Monte Carlo chains and build_povm
+both step through the runs with these shared factors.
 
 Given that every earlier test answered "no" and every typicality check
 passed, the state in front of test k depends only on the initial state, the
@@ -131,9 +133,11 @@ class BornChain:
 class RunFactor:
     """Run B's amplitude map: a_B = matrix @ psi for a state psi in front of B.
 
-    ``matrix`` is T_B^dagger W_B^dagger = (I + L_B)^-1 W_B^dagger, with L_B
-    the entries of the Gram matrix W_B^dagger W_B whose row test comes after
-    the column test (see build_povm); for a one-test run it is W^dagger.
+    On H the run's no-steps, the product of the factors (1 - W_l W_l^dagger)
+    in schedule order, are 1 - W_B T_B^dagger W_B^dagger in the compact WY
+    form; ``matrix`` is T_B^dagger W_B^dagger = (I + L_B)^-1 W_B^dagger, with
+    L_B the entries of the Gram matrix W_B^dagger W_B whose row test comes
+    after the column test.  For a one-test run it is W^dagger.
     ``loss`` is 1 - ||w_l||^2 per test, the part of each test's column
     outside H, when every test of the run has rank one, else None.  Test l
     owns rows ``bounds[l]:bounds[l + 1]`` of ``matrix``, and ``columns`` is
@@ -147,12 +151,13 @@ class RunFactor:
 
 
 class ChainMemo:
-    """The plan's Monte Carlo state: Born chains keyed by (codeword, labels), run factors.
+    """The plan's cached state: Born chains keyed by (codeword, labels), run factors.
 
     ``size`` counts stored numbers: dim_H per state plus one per cumulative
     mass.  It never passes ``limit``; past it, new states and deeper runs go
     through the same chain code without being stored.  A run factor is
-    built the first time any chain enters its run and kept for the plan.
+    built the first time a chain or build_povm enters its run and kept for
+    the plan; all factors together are the size of the plan's columns.
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGETS.work_limit):
@@ -186,28 +191,16 @@ class DecoderPlan:
     def num_tests(self) -> int:
         return len(self.tests)
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Each test's (dim_H, r) block, r = 1 for a rank-one test: views of ``columns``."""
-        o = self.offsets
-        return tuple(self.columns[:, o[i]:o[i + 1]] for i in range(self.num_tests))
-
-    def run_columns(self, run: int) -> np.ndarray:
-        """W_B: the blocks of run ``run`` side by side, a view of ``columns``."""
-        start, stop = self.runs[run]
-        return self.columns[:, self.offsets[start]:self.offsets[stop]]
-
-    def run_adjoint(self, run: int) -> np.ndarray:
-        """W_B^dagger as a C-ordered array."""
-        return np.ascontiguousarray(self.run_columns(run).conj().T)
-
     def masked_state(self, j_seq, labels) -> np.ndarray:
         """Masked components of the product eigenvector |labels>_{j_seq}."""
         mats = [self.channel.coords[int(j)] for j in j_seq]
         return product_entries(mats, self.model.masked_digits, np.array([labels]))[:, 0]
 
     def run_factor(self, run: int) -> RunFactor:
-        """The run's cached amplitude map, built on first use.
+        """The run's amplitude map, built on first use and kept for the plan.
+
+        The Monte Carlo chains and build_povm share it, so each run's factor
+        is built once per plan whichever of them reaches the run first.
 
         (I + L_B) X = W_B^dagger is solved by forward substitution, a test's
         rows at a time: rows l of X are W_l^dagger - (W_l^dagger W_<l) X_<l,
@@ -217,8 +210,8 @@ class DecoderPlan:
         factor = self.memo.factors.get(run)
         if factor is None:
             start, stop = self.runs[run]
-            w = self.run_columns(run)
-            matrix = self.run_adjoint(run)
+            w = self.columns[:, self.offsets[start]:self.offsets[stop]]
+            matrix = np.ascontiguousarray(w.conj().T)
             bounds = (self.offsets[start:stop + 1] - self.offsets[start]).tolist()
             for i, e in zip(bounds[1:-1], bounds[2:]):
                 matrix[i:e] -= (matrix[i:e] @ w[:, :i]) @ matrix[:i]
@@ -619,20 +612,15 @@ class POVMSet:
     Element l is W_l W_l^dagger for a (dim_H, r) block W_l, with r = 1 for a
     rank-one test, in the masked basis of H; its rows outside H are zero and
     are not stored.  ``columns`` holds every block side by side, in schedule
-    order, and ``blocks`` are views of it.  ``abort`` is the dim_H x dim_H
-    block of the abort element, which is exactly the identity outside H.
-    ``dim`` is d^n, the space the POVM acts on.  Everything is in the
+    order, and element l is test l of ``plan``.  ``abort`` is the dim_H x
+    dim_H block of the abort element, which is exactly the identity outside
+    H.  ``dim`` is d^n, the space the POVM acts on.  Everything is in the
     average-state product eigenbasis.
     """
 
     plan: DecoderPlan
     columns: np.ndarray  # (dim_H, K): the K columns of all elements
     abort: np.ndarray
-    test_messages: tuple[int, ...]
-
-    @property
-    def num_elements(self) -> int:
-        return len(self.test_messages)
 
     @property
     def dim(self) -> int:
@@ -642,11 +630,6 @@ class POVMSet:
     def widths(self) -> np.ndarray:
         """Column count r of each element."""
         return np.diff(self.plan.offsets)
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        widths = self.widths
-        return tuple(self.columns[:, e - r:e] for r, e in zip(widths, np.cumsum(widths)))
 
     def completeness_defect(self) -> float:
         """Max-abs entry of abort + sum W W^dagger - identity; outside H it is exactly 0."""
@@ -699,19 +682,17 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     With C_1 = P and C_(l+1) = P (1 - P_l) C_l, element l is C_l^dagger P_l C_l.
     Every C_l maps H into H, so the chain is the dim_H x dim_H matrix c, with
     c_1 = 1 and c <- c - W_l (W_l^dagger c) for test l's block W_l; element l's
-    block is c^dagger W_l.  A run of consecutive tests with blocks W_B (at
-    most dim_H columns in all, or a single wider test) is applied at once in
-    the compact WY form of a product of such factors: the amplitudes
-    a_l = W_l^dagger c_l solve (I + L) a = W_B^dagger c, where L keeps the
-    entries of the Gram matrix W_B^dagger W_B whose row test comes after the
-    column test (so (I + L)^-1 = T_B^dagger with T_B = (I + L^dagger)^-1).
-    The run's element columns are a^dagger = c^dagger W_B T_B and the chain
-    becomes c - W_B a.  The whole set costs O(M dim_H^2) work in
-    dim_H-sized BLAS products.  The abort block is the surviving c^dagger c
-    plus each test's typicality loss a_l^dagger (1 - W_l^dagger W_l) a_l, the
-    part of (1 - P_l) C_l outside H (a test's full-space columns are
-    orthonormal), with W_l^dagger W_l read from the run's Gram matrix; so
-    completeness_defect checks the chain's arithmetic, not an identity.
+    block is c_l^dagger W_l = a_l^dagger for the amplitudes a_l = W_l^dagger c_l.
+    A run's amplitudes come at once from the plan's run factor (see
+    RunFactor), the one the Monte Carlo chains step with: a = T_B^dagger
+    W_B^dagger c, and the chain becomes c - W_B a.  The whole set costs
+    O(M dim_H^2) work in dim_H-sized BLAS products.  The abort block is the
+    surviving c^dagger c plus each test's typicality loss a_l^dagger (1 -
+    W_l^dagger W_l) a_l, the part of (1 - P_l) C_l outside H (a test's
+    full-space columns are orthonormal): a_l^dagger (1 - ||w_l||^2) a_l for a
+    rank-one test, with the run factor's ``loss``, and a_l^dagger (a_l -
+    W_l^dagger (W_l a_l)) for a wider one, whose W_l a_l is also its step.
+    So completeness_defect checks the chain's arithmetic, not an identity.
     """
     dim_h = plan.model.dim_H
     if dim_h * dim_h > budgets.work_limit:
@@ -723,38 +704,20 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     amps = np.empty((offsets[-1], dim_h), dtype=complex)  # a_l = W_l^dagger c_l, stacked
     abort = np.zeros((dim_h, dim_h), dtype=complex)
     for run, (start, stop) in enumerate(plan.runs):
-        a = amps[offsets[start]:offsets[stop]]
-        w, w_adj = plan.run_columns(run), plan.run_adjoint(run)
-        if stop - start == 1:  # one test: T_B = I
-            np.matmul(w_adj, chain, out=a)
-            step = w @ a
-            kept = w_adj @ step  # W_l^dagger W_l a_l
-            chain -= step
-        else:
-            owner = np.repeat(np.arange(stop - start), np.diff(offsets[start:stop + 1]))
-            own = owner[:, None] == owner[None, :]
-            gram = w_adj @ w
-            diagonal = gram[own]  # each test's W_l^dagger W_l
-            # one buffer holds I + L, then the block diagonal: one k x k at a time
-            gram[owner[:, None] <= owner[None, :]] = 0.0
-            gram[np.diag_indices_from(gram)] = 1.0
-            np.matmul(w_adj, chain, out=a)
-            a[...] = np.linalg.solve(gram, a)
-            gram[...] = 0.0
-            gram[own] = diagonal
-            kept = gram @ a
-            chain -= w @ a
-        # the typicality losses sum_l a_l^dagger (1 - W_l^dagger W_l) a_l
-        abort += a.conj().T @ np.subtract(a, kept, out=kept)
+        factor = plan.run_factor(run)
+        a = np.matmul(factor.matrix, chain, out=amps[offsets[start]:offsets[stop]])
+        if factor.loss is not None:  # rank-one tests
+            abort += a.conj().T @ (factor.loss[:, None] * a)
+            chain -= factor.columns @ a
+        else:  # wider tests: each W_l a_l serves both the loss and the step
+            for i, e in zip(factor.bounds, factor.bounds[1:]):
+                w, a_l = factor.columns[:, i:e], a[i:e]
+                step = w @ a_l
+                abort += a_l.conj().T @ (a_l - w.conj().T @ step)
+                chain -= step
     abort += chain.conj().T @ chain
     abort = 0.5 * (abort + abort.conj().T)
-    columns = np.conjugate(amps, out=amps).T
-    return POVMSet(
-        plan=plan,
-        columns=columns,
-        abort=abort,
-        test_messages=tuple(t.message for t in plan.tests),
-    )
+    return POVMSet(plan=plan, columns=np.conjugate(amps, out=amps).T, abort=abort)
 
 
 @dataclass(frozen=True, eq=False)
@@ -797,7 +760,7 @@ def exact_error_probability(
     ix = povm.plan.model.masked_indices
     whole = ix.size == povm.dim
     n_msg = codebook.num_messages
-    owner = np.repeat(np.array(povm.test_messages, dtype=int), povm.widths)
+    owner = np.repeat(np.array([t.message for t in povm.plan.tests], dtype=int), povm.widths)
     basis = povm.columns.T
     bconj = basis.conj()
     success = np.zeros(n_msg)

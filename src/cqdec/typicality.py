@@ -351,8 +351,6 @@ class TypicalModel:
     masked_digits: np.ndarray  # (dim_H, n) eigenlabel digits of the kept basis vectors
     rho_bar_diag: np.ndarray
     trace_bar: float
-    log2_lo: float
-    log2_hi: float
 
     @property
     def dim_total(self) -> int:
@@ -407,8 +405,6 @@ def build_typical_model(
         masked_digits=digits[mask],
         rho_bar_diag=products[mask],
         trace_bar=float(products[mask].sum()),
-        log2_lo=lo,
-        log2_hi=hi,
     )
 
 

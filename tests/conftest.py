@@ -202,6 +202,15 @@ def channel_cases(draw, min_rank=1):
     return make_channel(priors, [random_density(rng, d, r) for r in ranks]), n
 
 
+def element_blocks(columns, offsets):
+    """Each test's (dim_H, r) block, r = 1 for a rank-one test: views of ``columns``.
+
+    Test l owns columns offsets[l]:offsets[l + 1], for a plan's ``columns``
+    and for a POVM's, which has the plan's offsets.
+    """
+    return [columns[:, i:e] for i, e in zip(offsets, offsets[1:])]
+
+
 def embedded_povm(povm):
     """Full-space (d^n, r) blocks and d^n x d^n abort element of a POVM held on H.
 
@@ -210,7 +219,7 @@ def embedded_povm(povm):
     """
     ix = povm.plan.model.masked_indices
     blocks = []
-    for w in povm.blocks:
+    for w in element_blocks(povm.columns, povm.plan.offsets):
         full = np.zeros((povm.dim, w.shape[1]), dtype=complex)
         full[ix] = w
         blocks.append(full)
@@ -230,7 +239,7 @@ def sequential_povm(plan):
     chain = np.eye(dim_h, dtype=complex)
     total = np.zeros((dim_h, dim_h), dtype=complex)
     blocks = []
-    for block in plan.blocks:
+    for block in element_blocks(plan.columns, plan.offsets):
         wc = block.conj().T @ chain
         total += wc.conj().T @ wc
         blocks.append(wc.conj().T)
@@ -241,8 +250,9 @@ def sequential_povm(plan):
 
 def assert_povm_matches_the_sequential_chain(povm, tol=1e-12):
     blocks, abort = sequential_povm(povm.plan)
-    assert len(povm.blocks) == len(blocks)
-    for w, ref in zip(povm.blocks, blocks):
+    povm_blocks = element_blocks(povm.columns, povm.plan.offsets)
+    assert len(povm_blocks) == len(blocks)
+    for w, ref in zip(povm_blocks, blocks):
         assert w.shape == ref.shape
         assert np.abs(w - ref).max(initial=0.0) <= tol
     assert np.abs(povm.abort - abort).max(initial=0.0) <= tol
@@ -250,12 +260,12 @@ def assert_povm_matches_the_sequential_chain(povm, tol=1e-12):
 
 def yes_amplitudes(plan, psi, index):
     """Amplitudes <component|psi> over the columns of a test's block."""
-    return plan.blocks[index].conj().T @ psi
+    return element_blocks(plan.columns, plan.offsets)[index].conj().T @ psi
 
 
 def apply_no(plan, psi, index, amps):
     """Masked components after (1 - P_test) acting on a masked state."""
-    return psi - plan.blocks[index] @ amps
+    return psi - element_blocks(plan.columns, plan.offsets)[index] @ amps
 
 
 def amplitude_chain(plan, ch, j_seq, labels, m):
@@ -293,7 +303,7 @@ def sequential_masses(plan, j_seq, labels):
         return
     total = max(1.0 - front, 0.0)
     yield total
-    for block in plan.blocks:
+    for block in element_blocks(plan.columns, plan.offsets):
         amps = block.conj().T @ psi
         step = block @ amps
         decode = float(np.vdot(amps, amps).real)

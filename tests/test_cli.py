@@ -259,6 +259,7 @@ class TestExitCodes:
         ("simulate", "dim_budget = 0"),
         ("simulate", "set_budget = 0"),
         ("simulate", "work_budget = -5"),
+        ("verify", "m_max = -1"),
     ])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, command, line):
         cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")

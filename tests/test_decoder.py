@@ -11,7 +11,6 @@ from cqdec.decoder import (
     ABORT_ATYPICAL,
     ABORT_EXHAUSTED,
     DECODED,
-    DecoderPlan,
     average_amplitude,
     average_amplitude_powers,
     build_plan,
@@ -379,18 +378,20 @@ class TestPOVM:
         assert povm.min_element_eigenvalue() >= -1e-10
 
     @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
-    def test_completeness_sees_a_chain_whose_no_steps_are_dropped(self, variant, monkeypatch):
-        # zero columns with the adjoints kept make every "no" step c <- c - W a
-        # a no-op while the amplitudes a = W^dagger c still read the tests;
-        # the abort block is built from the chain, so completeness must fail
+    def test_completeness_sees_a_chain_whose_no_steps_are_dropped(self, variant):
+        # zero columns in the cached run factors, with their amplitude maps
+        # kept, make every "no" step c <- c - W a a no-op while the amplitudes
+        # a = T^dagger W^dagger c still read the tests; the abort block is
+        # built from the chain, so completeness must fail
         ch = builtin_channel("depolarized_pair", overlap=0.3, noise=0.4)
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=14)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.4), variant=variant)
         assert build_povm(plan).completeness_defect() <= 1e-12
-        broken = dataclasses.replace(plan, columns=np.zeros_like(plan.columns))
-        adjoint = plan.run_adjoint
-        monkeypatch.setattr(DecoderPlan, "run_adjoint", lambda self, run: adjoint(run))
-        assert build_povm(broken).completeness_defect() > 0.1
+        factors = plan.memo.factors
+        assert len(factors) == len(plan.runs)
+        for run, factor in factors.items():
+            factors[run] = dataclasses.replace(factor, columns=np.zeros_like(factor.columns))
+        assert build_povm(plan).completeness_defect() > 0.1
 
     @pytest.mark.parametrize("name, params, n, rate, delta, delta_cond, variant", [
         # M = 512 rank-one tests against dim_H = 55: ten WY runs of several tests
@@ -406,11 +407,41 @@ class TestPOVM:
         cb = sample_codebook(ch, n, rate, delta, seed=5)
         plan = build_plan(cb, ch, TypicalityParams(n=n, delta=delta, delta_cond=delta_cond),
                           variant=variant)
-        widths = [b.shape[1] for b in plan.blocks]
+        widths = np.diff(plan.offsets)
         assert sum(widths) > 2 * plan.model.dim_H > 0
         if variant == "subspace":
             assert min(widths) > plan.model.dim_H
         assert_povm_matches_the_sequential_chain(build_povm(plan))
+
+    @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
+    def test_povm_and_trials_do_not_depend_on_who_built_the_run_factors(self, variant):
+        # build_povm and the Monte Carlo chains share the plan's run factors:
+        # the POVM is the same bits whether trials built some of them first,
+        # and the trials draw the same transcripts after build_povm ran;
+        # here dim_H = 41 and 28 codewords make 29 rank-one or 28 subspace
+        # runs, and the trials reach the first three
+        ch = builtin_channel("depolarized_pair", overlap=0.5, noise=0.3)
+        cb = sample_codebook(ch, 6, 0.8, 0.3, seed=5)
+        params = TypicalityParams(n=6, delta=0.3)
+
+        def trials(plan):
+            rng = np.random.default_rng(21)
+            messages = rng.integers(cb.num_messages, size=200).tolist()
+            return [simulate_trial(plan, ch, s, params, rng) for s in messages]
+
+        fresh = build_plan(cb, ch, params, variant=variant)
+        povm_first = build_povm(fresh)
+        after_povm = trials(fresh)
+        warm = build_plan(cb, ch, params, variant=variant)
+        before_povm = trials(warm)
+        built = dict(warm.memo.factors)
+        assert len(warm.runs) > 1 and built
+        povm_last = build_povm(warm)
+        assert all(warm.memo.factors[run] is factor for run, factor in built.items())
+        assert len(warm.memo.factors) == len(warm.runs)
+        assert povm_first.columns.tobytes() == povm_last.columns.tobytes()
+        assert povm_first.abort.tobytes() == povm_last.abort.tobytes()
+        assert after_povm == before_povm
 
     def test_orthogonal_classical_codewords_are_recovered(self):
         ch = builtin_channel("classical_bit")

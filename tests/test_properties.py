@@ -150,7 +150,7 @@ def test_povm_on_h_matches_the_full_space_chain(case):
     povm = build_povm(plan)
     elements, abort = dense_chain_elements(plan, params)
     blocks, povm_abort = embedded_povm(povm)
-    assert povm.num_elements == len(elements)
+    assert len(blocks) == len(elements)
     for w, e in zip(blocks, elements):
         assert np.abs(w @ w.conj().T - e).max() <= 1e-12
     assert np.abs(povm_abort - abort).max() <= 1e-12
@@ -244,7 +244,7 @@ def test_gram_element_minimum_fixed_block_ranks(n, delta_cond, rank):
     plan = build_plan(codebook, ch, TypicalityParams(n=n, delta=2.0, delta_cond=delta_cond),
                       variant="subspace")
     povm = build_povm(plan)
-    assert povm.blocks[0].shape[1] == rank
+    assert povm.widths[0] == rank
     w = embedded_povm(povm)[0][0]
     dense = float(np.linalg.eigvalsh(w @ w.conj().T).min())
     assert povm.element_min_eigenvalues()[0] == pytest.approx(dense, abs=1e-12)
@@ -280,8 +280,9 @@ def test_checks_on_an_empty_window_match_the_embedded_povm():
 def einsum_masses(povm, ch, codebook):
     """Per-message (success, abort, misdecode) from the unoptimised three-operand einsum."""
     blocks = embedded_povm(povm)[0]
-    owner = np.repeat(np.array(povm.test_messages, dtype=int), [b.shape[1] for b in blocks])
-    basis = (np.concatenate(blocks, axis=1).T if povm.num_elements
+    owner = np.repeat(np.array([t.message for t in povm.plan.tests], dtype=int),
+                      [b.shape[1] for b in blocks])
+    basis = (np.concatenate(blocks, axis=1).T if blocks
              else np.zeros((0, povm.dim), complex))
     masses = []
     for s, word in enumerate(codebook.codewords):
@@ -312,7 +313,7 @@ def test_oracle_on_an_empty_window_is_a_certain_error():
     plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.2))
     povm = build_povm(plan)
     assert plan.model.dim_H == 0
-    assert not any(np.any(b) for b in povm.blocks)
+    assert not np.any(povm.columns)
     assert exact_error_probability(povm, ch, cb).p_err == 1.0
 
 
