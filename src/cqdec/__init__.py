@@ -4,11 +4,9 @@ from .bounds import (
     BoundCheck,
     BoundReport,
     GammaBound,
-    MeasurementBudget,
     check_amplitude_lower_bound,
     check_trace_power_bounds,
     gamma_lower_bound,
-    measurement_budget,
     rate_condition,
 )
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -33,7 +31,6 @@ from .errors import ConfigError, CqdecError, ResourceBudgetError, ValidationErro
 from .linalg import SpectralDecomposition, spectral_decompose
 from .pgm import pgm_error_probability
 from .typicality import (
-    ConditionalTypicalSet,
     MaskedHermitian,
     TypicalModel,
     TypicalSet,
@@ -41,7 +38,7 @@ from .typicality import (
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
-    conditional_typical_outputs,
+    conditional_labels,
     subordination_gap,
 )
 

@@ -18,16 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel, holevo_chi
 from .decoder import average_amplitude_powers
 from .errors import ValidationError
-from .typicality import (
-    MaskedHermitian,
-    TypicalityParams,
-    build_rho_tilde,
-    build_typical_model,
-)
+from .typicality import MaskedHermitian, TypicalModel
 
 _SOFT_TOL = 1e-9
 
@@ -54,29 +48,10 @@ class GammaBound:
 
 
 @dataclass(frozen=True)
-class MeasurementBudget:
-    m_theory_log2: float
-    m_cap_log2: float
-
-    @property
-    def m_theory(self) -> float:
-        return 2.0**self.m_theory_log2
-
-    @property
-    def m_cap(self) -> float:
-        return 2.0**self.m_cap_log2
-
-    @property
-    def within(self) -> bool:
-        return self.m_theory_log2 <= self.m_cap_log2 + _SOFT_TOL
-
-
-@dataclass(frozen=True)
 class BoundReport:
     n: int
     delta: float
     s_rho: float
-    chi: float
     epsilon_bar: float
     epsilon_tilde: float
     checks: tuple[BoundCheck, ...]
@@ -138,25 +113,18 @@ def gamma_lower_bound(
 
 
 def check_amplitude_lower_bound(
-    ch: CQChannel,
-    params: TypicalityParams,
-    m_grid,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    rho_tilde: MaskedHermitian | None = None,
+    model: TypicalModel, rho_tilde: MaskedHermitian, m_grid
 ) -> BoundReport:
     """Measured average amplitudes against 1 - epsilon_tilde - gamma(m)."""
-    model = build_typical_model(ch, params, budgets)
-    if rho_tilde is None:
-        rho_tilde = build_rho_tilde(ch, params, model, budgets)
     m_grid = sorted(set(int(m) for m in m_grid))
     if m_grid and m_grid[0] < 0:
         raise ValidationError("m values must be >= 0")
     eps_tilde = 1.0 - rho_tilde.trace()
     eps_bar = 1.0 - model.trace_bar
-    measured = average_amplitude_powers(rho_tilde, model, m_grid[-1]) if m_grid else np.empty(0)
+    measured = average_amplitude_powers(rho_tilde, m_grid[-1]) if m_grid else np.empty(0)
     checks = []
     for m in m_grid:
-        gb = gamma_lower_bound(params.n, params.delta, eps_tilde, model.s_rho, m)
+        gb = gamma_lower_bound(model.n, model.delta, eps_tilde, model.s_rho, m)
         lhs = gb.lower_bound
         rhs = float(measured[m])
         checks.append(
@@ -169,26 +137,13 @@ def check_amplitude_lower_bound(
             )
         )
     return BoundReport(
-        n=params.n,
-        delta=params.delta,
+        n=model.n,
+        delta=model.delta,
         s_rho=model.s_rho,
-        chi=holevo_chi(ch),
         epsilon_bar=eps_bar,
         epsilon_tilde=eps_tilde,
         checks=tuple(checks),
     )
-
-
-def measurement_budget(n: int, rate: float, ch: CQChannel, delta: float) -> MeasurementBudget:
-    """Theoretical test count 2^(nR) 2^(n sum_j p_j S(rho_j)) vs the cap 2^(n(S - delta)).
-
-    The count exponent uses the prior-weighted average of the per-letter
-    output entropies (the quantity that also sizes the conditional typical
-    subspaces).
-    """
-    m_theory_log2 = n * (rate + ch.mean_letter_entropy)
-    m_cap_log2 = n * (ch.avg_entropy - delta)
-    return MeasurementBudget(m_theory_log2=m_theory_log2, m_cap_log2=m_cap_log2)
 
 
 def rate_condition(ch: CQChannel, rate: float, delta: float) -> float:

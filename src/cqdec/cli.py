@@ -179,17 +179,15 @@ def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[d
     worst_two_forms = 0.0
     m_top = min(cfg.m_max, 20)
     for m in range(0, m_top + 1, 4):
-        res = average_amplitude(rho_tilde, model, m)
+        res = average_amplitude(rho_tilde, m)
         worst_two_forms = max(worst_two_forms, abs(res.power - res.binomial))
     add("amplitude_two_forms", "pass" if worst_two_forms <= 1e-9 else "fail",
         worst_two_forms, 1e-9)
     for c in check_trace_power_bounds(rho_tilde, n, cfg.delta, model.s_rho, j_max=6):
         add("trace_power", "pass" if c.ok else "fail", c.lhs, c.rhs, index=c.index)
     if model.s_rho > cfg.delta:
-        report = check_amplitude_lower_bound(
-            ch, params, range(0, min(cfg.m_max, 16) + 1, 4), budgets, rho_tilde
-        )
-        for c in report.checks:
+        m_grid = range(0, min(cfg.m_max, 16) + 1, 4)
+        for c in check_amplitude_lower_bound(model, rho_tilde, m_grid).checks:
             add("amplitude_lower", "pass" if c.ok else "fail", c.rhs, c.lhs, index=c.index)
     else:
         add("amplitude_lower", "skip:delta_above_entropy")

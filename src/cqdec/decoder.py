@@ -58,7 +58,6 @@ from .codebook import Codebook
 from .errors import ResourceBudgetError, ValidationError
 from .linalg import digit_table, product_entries
 from .typicality import (
-    ConditionalTypicalSet,
     MaskedHermitian,
     TypicalModel,
     TypicalityParams,
@@ -67,7 +66,7 @@ from .typicality import (
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
-    conditional_typical_outputs,
+    conditional_labels,
 )
 
 DECODED = "decoded"
@@ -178,9 +177,6 @@ class DecoderPlan:
     channel: CQChannel
     model: TypicalModel
     codebook: Codebook
-    variant: str
-    ordering: str
-    worst_index: int | None
     tests: tuple[PlanTest, ...]
     columns: np.ndarray  # (dim_H, K) every test's masked components, schedule order
     offsets: np.ndarray  # test l owns columns offsets[l]:offsets[l + 1]
@@ -342,6 +338,9 @@ def build_plan(
     ``lexicographic`` runs messages in order, each message's label sequences in
     lexicographic order.  ``worst_case`` moves every test of ``worst_index`` to
     the end of the schedule, realizing the ordering the error bound assumes.
+    One conditional_labels call gives every message's label sequences, and the
+    work budget counts one block of columns per message, repeated codewords
+    included.
     """
     if variant not in (RANK_ONE, SUBSPACE):
         raise ValidationError(f"unknown variant '{variant}'")
@@ -355,45 +354,37 @@ def build_plan(
     if model is None:
         model = build_typical_model(ch, params, budgets)
 
-    # one class-block cache for the plan: codewords of one type share their label table
-    cache = _ClassBlockCache(ch, params.n, params.cond_delta)
-    sets: dict[tuple[int, ...], ConditionalTypicalSet] = {}
-    num_tests = 0
-    for word in codebook.codewords:
-        if word not in sets:
-            sets[word] = conditional_typical_outputs(ch, word, params.cond_delta, budgets, cache)
-        if variant == RANK_ONE:
-            num_tests += sets[word].count
-            if num_tests > budgets.set_limit:
-                raise ResourceBudgetError(
-                    f"plan exceeds set budget {budgets.set_limit} tests", reason="set"
-                )
     messages = list(range(codebook.num_messages))
     if ordering == "worst_case":
         messages.remove(worst_index)
         messages.append(worst_index)
-
+    words = np.array([codebook.codewords[s] for s in messages], dtype=int).reshape(-1, params.n)
+    labels, _, counts = conditional_labels(ch, words, params.cond_delta, budgets)
     dim_h = model.dim_H
-    width = sum(cts.count for cts in sets.values())
-    if width * max(dim_h, 1) > budgets.work_limit:
+    if labels.shape[0] * max(dim_h, 1) > budgets.work_limit:
         raise ResourceBudgetError(
-            f"masked test blocks {dim_h}x{width} exceed work budget", reason="work"
+            f"masked test blocks {dim_h}x{labels.shape[0]} exceed work budget", reason="work"
         )
-    words = [codebook.codewords[s] for s in messages]
-    counts = [sets[word].count for word in words]
-    tests: list[PlanTest] = []
-    for s, word in zip(messages, words):
-        if variant == RANK_ONE:
-            rows = sets[word].labels.tolist()
-            tests.extend(PlanTest(message=s, codeword=word, labels=tuple(r)) for r in rows)
-        else:
-            tests.append(PlanTest(message=s, codeword=word, labels=None))
-    widths = [1] * len(tests) if variant == RANK_ONE else counts
+    # each message's labels in lexicographic order: sort by schedule position,
+    # then by the labels' base-d index
+    d = ch.letter_dim
+    owner = np.repeat(np.arange(len(messages)), counts)
+    key = owner
+    for column in labels.T:
+        key = key * d + column
+    labels = labels[np.argsort(key, kind="stable")]
+    if variant == RANK_ONE:
+        tests = [PlanTest(message=messages[i], codeword=codebook.codewords[messages[i]],
+                          labels=tuple(r)) for i, r in zip(owner.tolist(), labels.tolist())]
+        widths = [1] * len(tests)
+    else:
+        tests = [PlanTest(message=s, codeword=codebook.codewords[s], labels=None)
+                 for s in messages]
+        widths = counts.tolist()
     # the letters' coords side by side: letter j's column k is table column j*d + k,
     # so one product_entries call gives every test column, in schedule order
     table = np.concatenate(ch.coords, axis=1)
-    cols = np.concatenate([sets[word].labels for word in words])
-    cols = cols + np.repeat(ch.letter_dim * np.array(words), counts, axis=0)
+    cols = labels + d * np.repeat(words, counts, axis=0)
     # computed as (K, dim_H), so the (dim_H, K) columns are Fortran-ordered
     columns = product_entries([table.T] * params.n, cols, model.masked_digits).T
     offsets = np.cumsum([0] + widths)
@@ -401,9 +392,6 @@ def build_plan(
         channel=ch,
         model=model,
         codebook=codebook,
-        variant=variant,
-        ordering=ordering,
-        worst_index=worst_index,
         tests=tuple(tests),
         columns=columns,
         offsets=offsets,
@@ -485,7 +473,6 @@ class AvgAmplitude:
 
 def average_amplitude(
     rho_tilde: MaskedHermitian,
-    model: TypicalModel,
     m: int,
     binomial_cap: int = 64,
 ) -> AvgAmplitude:
@@ -498,7 +485,7 @@ def average_amplitude(
     """
     if m < 0:
         raise ValidationError("m must be >= 0")
-    power = float(average_amplitude_powers(rho_tilde, model, m)[m])
+    power = float(average_amplitude_powers(rho_tilde, m)[m])
     binomial = None
     if m <= binomial_cap:
         lam = rho_tilde.eigenvalues()
@@ -514,9 +501,7 @@ def average_amplitude(
     return AvgAmplitude(power=power, binomial=binomial)
 
 
-def average_amplitude_powers(
-    rho_tilde: MaskedHermitian, model: TypicalModel, m_max: int
-) -> np.ndarray:
+def average_amplitude_powers(rho_tilde: MaskedHermitian, m_max: int) -> np.ndarray:
     """Power-form average amplitudes for every m in 0..m_max, incrementally."""
     if m_max < 0:
         raise ValidationError("m_max must be >= 0")

@@ -98,5 +98,8 @@ def product_entries(mats, rows, cols) -> np.ndarray:
     out = None
     for m, r, c in zip(mats, rows.T, cols.T):
         factor = m.take(c, axis=1).take(r, axis=0)
-        out = factor if out is None else out * factor
+        if out is None:
+            out = factor
+        else:
+            out *= factor
     return out

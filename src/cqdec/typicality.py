@@ -12,6 +12,11 @@ Everything is expressed in the product eigenbasis of the average state, where
 P is a diagonal 0/1 mask and applying it costs O(d^n) instead of a dense
 matrix product.  Window boundaries are widened by 1e-9 so a degenerate
 eigenvalue cluster is never split by roundoff.
+
+A sequence's conditional label window depends only on its type, so
+conditional_labels works on a block of sequences at type scale: one label
+table per type, scattered to all of the type's rows at once.  The decoder's
+plan and build_rho_tilde both read their labels through it.
 """
 
 from __future__ import annotations
@@ -173,36 +178,13 @@ def classical_typical_set(
     return TypicalSet(n=n, delta_source=delta_source, priors=p, sequences=arr, total_prob=total)
 
 
-@dataclass(frozen=True)
-class ConditionalTypicalSet:
-    """Eigenlabel sequences spanning the conditional typical subspace of one codeword.
-
-    ``labels[i]`` assigns, for every position, an eigenlabel of the output
-    state at that position; ``probs[i]`` is the product of the matching
-    conditional eigenvalues.
-    """
-
-    j_seq: tuple[int, ...]
-    labels: np.ndarray  # (count, n) int16, lexicographic
-    probs: np.ndarray
-    delta_cond: float
-
-    @property
-    def count(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def total_prob(self) -> float:
-        return float(self.probs.sum())
-
-
 class _ClassBlockCache:
     """Per-(letter, class size) enumeration of admissible label subsequences.
 
     The frequency window |m_k/n - p_j * p_(k|j)| <= delta_cond depends only on
     the letter and on how many positions carry it, so blocks are shared across
-    codewords of equal type, and so is each type's label table (see
-    ``type_table``).
+    the types that hold such a class, and a type's label table is the
+    Cartesian product of its blocks (see ``type_table``).
     """
 
     def __init__(self, ch: CQChannel, n_total: int, delta_cond: float):
@@ -212,7 +194,6 @@ class _ClassBlockCache:
         self._blocks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._counts: dict[tuple[int, int], int] = {}
         self._sizes: dict[tuple, int] = {}
-        self._tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def count(self, letter: int, size: int) -> int:
         key = (letter, size)
@@ -258,21 +239,19 @@ class _ClassBlockCache:
         The rows run through the Cartesian product of the class blocks, the
         last class fastest.
         """
-        if key not in self._tables:
-            total = self.type_size(key)
-            labels = np.empty((total, self.n_total), dtype=np.int16)
-            probs = np.ones(total)
-            reps_after, at = total, 0
-            for j, m in key if total else ():
-                blk, blk_probs = self.block(j, m)
-                c = blk.shape[0]
-                reps_after //= c
-                idx = np.tile(np.repeat(np.arange(c), reps_after), total // (reps_after * c))
-                labels[:, at:at + m] = blk[idx]
-                probs *= blk_probs[idx]
-                at += m
-            self._tables[key] = (labels, probs)
-        return self._tables[key]
+        total = self.type_size(key)
+        labels = np.empty((total, self.n_total), dtype=np.int16)
+        probs = np.ones(total)
+        reps_after, at = total, 0
+        for j, m in key if total else ():
+            blk, blk_probs = self.block(j, m)
+            c = blk.shape[0]
+            reps_after //= c
+            idx = np.tile(np.repeat(np.arange(c), reps_after), total // (reps_after * c))
+            labels[:, at:at + m] = blk[idx]
+            probs *= blk_probs[idx]
+            at += m
+        return labels, probs
 
 
 def _letter_type(j_seq) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
@@ -285,56 +264,54 @@ def _letter_type(j_seq) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     return key, np.argsort(arr, kind="stable")
 
 
-def _assemble_labels(
-    cache: _ClassBlockCache, key: tuple, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All admissible full label sequences for one codeword, and their probs.
-
-    The table of the codeword's type ``key`` with its columns moved back to
-    the codeword's positions, ``order`` its class order (see _letter_type).
-    """
-    table, probs = cache.type_table(key)
-    labels = np.empty_like(table)
-    labels[:, order] = table
-    return labels, probs
-
-
-def conditional_typical_outputs(
-    ch: CQChannel,
-    j_seq,
-    delta_cond: float,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    cache: _ClassBlockCache | None = None,
-) -> ConditionalTypicalSet:
-    """Eigenlabel sequences whose per-letter label counts are frequency-typical.
+def conditional_labels(
+    ch: CQChannel, seqs, delta_cond: float, budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional typical eigenlabel sequences of every row of a (k, n) block of letter sequences.
 
     The count window for label k of letter j is
     |m_jk/n - p_j * p_(k|j)| <= delta_cond, applied within the positions of
-    ``j_seq`` that carry letter j (letters absent from ``j_seq`` impose no
+    a row that carry letter j (letters absent from the row impose no
     constraint).  Labels with zero conditional eigenvalue never appear.
-    ``cache`` shares label tables between calls with the same channel, n and
-    delta_cond; without it every call enumerates its own.
+
+    The window depends only on a row's type, so the rows are grouped by type
+    and each type's table (see _ClassBlockCache.type_table) is scattered to
+    all of its rows at once, with each row's inverse class order.  Returns
+    ``(labels, probs, counts)``: row i owns the ``counts[i]`` consecutive
+    label sequences after those of the rows before it, in its type's table
+    order, and ``probs`` holds the products of the matching conditional
+    eigenvalues.  More than ``set_limit`` (sequence, label) pairs in all is a
+    ResourceBudgetError, raised before any table is built.
     """
-    j_tuple = tuple(map(int, j_seq))
-    if min(j_tuple, default=0) < 0 or max(j_tuple, default=0) >= ch.alphabet_size:
+    seqs = np.asarray(seqs, dtype=int)
+    if seqs.size and (seqs.min() < 0 or seqs.max() >= ch.alphabet_size):
         raise ValidationError(f"letters must be in [0, {ch.alphabet_size})")
-    if cache is None:
-        cache = _ClassBlockCache(ch, len(j_tuple), delta_cond)
-    elif cache.ch is not ch or cache.n_total != len(j_tuple) or cache.delta != delta_cond:
-        raise ValidationError("cache was built for another channel, n or delta_cond")
-    key, order = _letter_type(j_tuple)
-    size = cache.type_size(key)
-    if size > budgets.set_limit:
+    n = seqs.shape[1]
+    cache = _ClassBlockCache(ch, n, delta_cond)
+    letter_counts = (seqs[:, :, None] == np.arange(ch.alphabet_size)).sum(axis=1)
+    type_counts, kind = np.unique(letter_counts, axis=0, return_inverse=True)
+    kind = kind.reshape(-1)
+    keys = [tuple((j, c) for j, c in enumerate(row) if c) for row in type_counts.tolist()]
+    sizes = [cache.type_size(key) for key in keys]
+    rows_per_type = np.bincount(kind, minlength=len(keys)).tolist()
+    total = sum(size * rows for size, rows in zip(sizes, rows_per_type))
+    if total > budgets.set_limit:
         raise ResourceBudgetError(
-            f"conditional typical set has {size} members, over set budget {budgets.set_limit}",
+            f"{total} (sequence, label) pairs exceed set budget {budgets.set_limit}",
             reason="set",
         )
-    labels, probs = _assemble_labels(cache, key, order)
-    count = labels.shape[0]
-    order = np.lexsort(labels.T[::-1]) if count > 1 else np.arange(count)
-    return ConditionalTypicalSet(
-        j_seq=j_tuple, labels=labels[order], probs=probs[order], delta_cond=delta_cond
-    )
+    counts = np.array(sizes, dtype=np.int64)[kind]
+    labels = np.empty((total, n), dtype=np.int16)
+    probs = np.empty(total)
+    starts = np.cumsum(counts) - counts
+    inverse = np.argsort(np.argsort(seqs, axis=1, kind="stable"), axis=1, kind="stable")
+    for t, key in enumerate(keys):
+        rows = np.nonzero(kind == t)[0]
+        table, table_probs = cache.type_table(key)
+        at = (starts[rows, None] + np.arange(table.shape[0])).reshape(-1)
+        labels[at] = table[:, inverse[rows]].swapaxes(0, 1).reshape(-1, n)
+        probs[at] = np.tile(table_probs, rows.size)
+    return labels, probs, counts
 
 
 @dataclass(frozen=True)
@@ -464,73 +441,35 @@ def build_rho_tilde(
     subspace and returned in the masked basis.
     """
     tset = classical_typical_set(ch.priors, params.n, params.source_delta, budgets)
-    cache = _ClassBlockCache(ch, params.n, params.cond_delta)
-    types = [_letter_type(row) for row in tset.sequences]
-    counts = [cache.type_size(key) for key, _ in types]
-    total_pairs = sum(counts)
-    if total_pairs > budgets.set_limit:
-        raise ResourceBudgetError(
-            f"{total_pairs} (sequence, label) pairs exceed set budget {budgets.set_limit}",
-            reason="set",
-        )
-
+    seqs = tset.sequences
+    labels, probs, counts = conditional_labels(ch, seqs, params.cond_delta, budgets)
+    p_seq = [math.exp(x) for x in np.log(ch.priors)[seqs].sum(axis=1).tolist()]
+    weights = np.repeat(p_seq, counts) * probs
+    words = np.repeat(seqs, counts, axis=0)
     dim_h = model.dim_H
     n, d = params.n, ch.letter_dim
-    seq_logp = np.log(ch.priors)
     if ch.is_classical:
-        rowmaps = [np.abs(u).argmax(axis=0) for u in ch.coords]
-        powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        # each letter's eigenvector k is the basis vector rowmap[letter, k]
+        rowmap = np.array([np.abs(u).argmax(axis=0) for u in ch.coords])
+        index = np.zeros(labels.shape[0], dtype=np.int64)  # the base-d composite index
+        for j, k in zip(words.T, labels.T):
+            index = index * d + rowmap[j, k]
         rank = np.full(model.dim_total, -1, dtype=np.int64)
         rank[model.masked_indices] = np.arange(dim_h)
+        r = rank[index]
+        keep = r >= 0
         diag = np.zeros(dim_h)
-        for row, kind, c in zip(tset.sequences, types, counts):
-            if c == 0:
-                continue
-            labels, probs = _assemble_labels(cache, *kind)
-            p_seq = math.exp(float(seq_logp[row.astype(int)].sum()))
-            rows = np.empty(labels.shape, dtype=np.int64)
-            for i in range(n):
-                rows[:, i] = rowmaps[int(row[i])][labels[:, i].astype(int)]
-            idx = rows @ powers
-            r = rank[idx]
-            keep = r >= 0
-            np.add.at(diag, r[keep], p_seq * probs[keep])
+        np.add.at(diag, r[keep], weights[keep])
         return MaskedHermitian(diag=diag)
 
+    # the letters' coords side by side: letter j's column k is table column j*d + k
+    table = np.concatenate(ch.coords, axis=1)
+    cols = labels + d * words
     acc = np.zeros((dim_h, dim_h), dtype=complex)
-    pending_cols: list[np.ndarray] = []
-    pending_w: list[np.ndarray] = []
-    pending_total = 0
-    flush_at = max(1, budgets.work_limit // max(dim_h, 1))
-
-    def flush():
-        nonlocal pending_total
-        if not pending_cols:
-            return
-        w = np.concatenate(pending_w)
-        cols = np.concatenate(pending_cols, axis=1)
-        acc[...] += (cols * w) @ cols.conj().T
-        pending_cols.clear()
-        pending_w.clear()
-        pending_total = 0
-
-    for row, kind, c in zip(tset.sequences, types, counts):
-        if c == 0:
-            continue
-        if dim_h * c > budgets.work_limit:
-            raise ResourceBudgetError(
-                f"dense rho_tilde block of {dim_h}x{c} exceeds work budget",
-                reason="work",
-            )
-        labels, probs = _assemble_labels(cache, *kind)
-        p_seq = math.exp(float(seq_logp[row.astype(int)].sum()))
-        cols = product_entries([ch.coords[int(j)] for j in row], model.masked_digits, labels)
-        pending_cols.append(cols)
-        pending_w.append(p_seq * probs)
-        pending_total += labels.shape[0]
-        if pending_total >= flush_at:
-            flush()
-    flush()
+    chunk = max(1, budgets.work_limit // max(dim_h, 1))
+    for at in range(0, cols.shape[0], chunk):
+        block = product_entries([table] * n, model.masked_digits, cols[at:at + chunk])
+        acc += (block * weights[at:at + chunk]) @ block.conj().T
     acc = 0.5 * (acc + acc.conj().T)
     return MaskedHermitian(dense=acc)
 

@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from cqdec.bounds import _SOFT_TOL
 from cqdec.channel import builtin_channel, make_channel
 from cqdec.codebook import Codebook, codeword_count
 from cqdec.config import parse_kv_text
@@ -17,7 +19,7 @@ from cqdec.linalg import (
     entropy_of_spectrum,
     spectral_decompose,
 )
-from cqdec.typicality import _ClassBlockCache, conditional_typical_outputs
+from cqdec.typicality import conditional_labels
 
 FLOOR = 1e-14
 
@@ -165,29 +167,69 @@ def bruteforce_conditional_labels(ch, word, delta_cond):
     return labels, np.array(probs)
 
 
-def assert_shared_cache_matches_fresh(ch, words, delta_cond, budgets):
-    """conditional_typical_outputs with one cache for all words equals a fresh call per word.
+def bruteforce_label_block(ch, word, delta_cond):
+    """bruteforce_conditional_labels' label sequences as a (count, n) int array."""
+    return np.array(bruteforce_conditional_labels(ch, word, delta_cond)[0], dtype=int).reshape(
+        -1, len(word))
 
-    Labels and probs must agree to the bit and in order, and a word over the
-    set budget must raise in both.  Both must also hold the brute-force label
-    set, with probs to 1e-14.
+
+def assert_block_labels_match_bruteforce(ch, words, delta_cond, budgets):
+    """conditional_labels over a block of words equals the brute-force enumeration, row by row.
+
+    Each row's labels, sorted lexicographically, must be the brute-force set,
+    with probs to 1e-14; rows of one word, repeated or not, must agree to the
+    bit.  More than set_limit pairs in all must raise the set budget error.
     """
-    cache = _ClassBlockCache(ch, len(words[0]), delta_cond)
-    for word in words:
-        try:
-            fresh = conditional_typical_outputs(ch, word, delta_cond, budgets)
-        except ResourceBudgetError:
-            with pytest.raises(ResourceBudgetError):
-                conditional_typical_outputs(ch, word, delta_cond, budgets, cache)
-            continue
-        shared = conditional_typical_outputs(ch, word, delta_cond, budgets, cache)
-        assert shared.j_seq == fresh.j_seq
-        assert shared.labels.dtype == fresh.labels.dtype
-        assert shared.labels.tobytes() == fresh.labels.tobytes()
-        assert shared.probs.tobytes() == fresh.probs.tobytes()
-        labels, probs = bruteforce_conditional_labels(ch, word, delta_cond)
-        assert [tuple(r) for r in shared.labels.tolist()] == labels
-        assert np.allclose(shared.probs, probs, rtol=1e-14, atol=0.0)
+    refs = [bruteforce_conditional_labels(ch, word, delta_cond) for word in words]
+    sizes = [len(labels) for labels, _ in refs]
+    block = np.array(words).reshape(len(words), -1)
+    if sum(sizes) > budgets.set_limit:
+        with pytest.raises(ResourceBudgetError) as exc:
+            conditional_labels(ch, block, delta_cond, budgets)
+        assert exc.value.reason == "set"
+        return
+    labels, probs, counts = conditional_labels(ch, block, delta_cond, budgets)
+    assert labels.dtype == np.int16 and labels.shape == (sum(sizes), len(words[0]))
+    assert counts.tolist() == sizes
+    seen = {}
+    starts = np.cumsum(counts) - counts
+    for word, (ref_labels, ref_probs), at, c in zip(words, refs, starts, counts):
+        rows, row_probs = labels[at:at + c], probs[at:at + c]
+        order = np.lexsort(rows.T[::-1])
+        assert [tuple(r) for r in rows[order].tolist()] == ref_labels
+        assert np.allclose(row_probs[order], ref_probs, rtol=1e-14, atol=0.0)
+        first = seen.setdefault(tuple(word), (rows, row_probs))
+        assert first[0].tobytes() == rows.tobytes() and first[1].tobytes() == row_probs.tobytes()
+
+
+@dataclass(frozen=True)
+class MeasurementBudget:
+    m_theory_log2: float
+    m_cap_log2: float
+
+    @property
+    def m_theory(self) -> float:
+        return 2.0**self.m_theory_log2
+
+    @property
+    def m_cap(self) -> float:
+        return 2.0**self.m_cap_log2
+
+    @property
+    def within(self) -> bool:
+        return self.m_theory_log2 <= self.m_cap_log2 + _SOFT_TOL
+
+
+def measurement_budget(n: int, rate: float, ch, delta: float) -> MeasurementBudget:
+    """Theoretical test count 2^(nR) 2^(n sum_j p_j S(rho_j)) vs the cap 2^(n(S - delta)).
+
+    The count exponent uses the prior-weighted average of the per-letter
+    output entropies (the quantity that also sizes the conditional typical
+    subspaces).
+    """
+    m_theory_log2 = n * (rate + ch.mean_letter_entropy)
+    m_cap_log2 = n * (ch.avg_entropy - delta)
+    return MeasurementBudget(m_theory_log2=m_theory_log2, m_cap_log2=m_cap_log2)
 
 
 @st.composite

@@ -27,7 +27,6 @@ from cqdec.bounds import (
     check_amplitude_lower_bound,
     check_trace_power_bounds,
     gamma_lower_bound,
-    measurement_budget,
 )
 from cqdec.channel import builtin_channel, holevo_chi
 from cqdec.cli import main
@@ -52,7 +51,7 @@ from cqdec.typicality import (
     subordination_gap,
 )
 
-from conftest import embedded_povm, fixture_channels, transcript_probability
+from conftest import embedded_povm, fixture_channels, measurement_budget, transcript_probability
 
 COS45 = math.cos(math.pi / 4)
 FIXTURES = fixture_channels()
@@ -99,7 +98,7 @@ def test_criterion_03_amplitude_formula_equivalence():
                 model = build_typical_model(ch, params)
                 rho_tilde = build_rho_tilde(ch, params, model)
                 for m in range(21):
-                    res = average_amplitude(rho_tilde, model, m)
+                    res = average_amplitude(rho_tilde, m)
                     gap = abs(res.power - res.binomial)
                     worst = max(worst, gap)
                     assert gap <= 1e-9, (name, n, delta, m, gap)
@@ -229,7 +228,9 @@ def test_criterion_07_amplitude_lower_bound():
         for n in ns:
             m_cap = int(measurement_budget(n, rate, ch, delta).m_theory)
             params = TypicalityParams(n=n, delta=delta)
-            report = check_amplitude_lower_bound(ch, params, range(m_cap + 1))
+            model = build_typical_model(ch, params)
+            rho_tilde = build_rho_tilde(ch, params, model)
+            report = check_amplitude_lower_bound(model, rho_tilde, range(m_cap + 1))
             for c in report.checks:
                 assert c.ok, (name, n, c)
             checked += len(report.checks)

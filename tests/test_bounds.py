@@ -7,13 +7,14 @@ from cqdec.bounds import (
     check_amplitude_lower_bound,
     check_trace_power_bounds,
     gamma_lower_bound,
-    measurement_budget,
     rate_condition,
     trace_power_bound_log2,
 )
 from cqdec.channel import builtin_channel, holevo_chi
 from cqdec.errors import ValidationError
 from cqdec.typicality import MaskedHermitian, TypicalityParams, build_rho_tilde, build_typical_model
+
+from conftest import measurement_budget
 
 COS45 = math.cos(math.pi / 4)
 
@@ -87,10 +88,15 @@ class TestGammaLowerBound:
             gamma_lower_bound(8, 0.7, 0.1, 0.6, 4)
 
 
+def amplitude_report(ch, params, m_grid):
+    model = build_typical_model(ch, params)
+    return check_amplitude_lower_bound(model, build_rho_tilde(ch, params, model), m_grid)
+
+
 class TestAmplitudeLowerBound:
     def test_m_zero_is_equality(self):
-        ch = builtin_channel("pure_pair", overlap=COS45)
-        report = check_amplitude_lower_bound(ch, TypicalityParams(n=6, delta=0.2), [0])
+        report = amplitude_report(builtin_channel("pure_pair", overlap=COS45),
+                                  TypicalityParams(n=6, delta=0.2), [0])
         c = report.checks[0]
         # at m = 0 the bound reads Tr rho_tilde >= Tr rho_tilde
         assert c.lhs == pytest.approx(1.0 - report.epsilon_tilde, abs=1e-12)
@@ -106,7 +112,7 @@ class TestAmplitudeLowerBound:
         params = TypicalityParams(n=n, delta=0.5, delta_source=0.2, delta_cond=2.0)
         model = build_typical_model(ch, params)
         rt = build_rho_tilde(ch, params, model)
-        report = check_amplitude_lower_bound(ch, params, range(9), rho_tilde=rt)
+        report = check_amplitude_lower_bound(model, rt, range(9))
         k = int(round(rt.trace() * 2**n))
         for c in report.checks:
             expected = k * 2.0**-n * (1 - 2.0**-n) ** c.index
@@ -114,8 +120,8 @@ class TestAmplitudeLowerBound:
             assert c.ok
 
     def test_pure_pair_grid_holds(self):
-        ch = builtin_channel("pure_pair", overlap=COS45)
-        report = check_amplitude_lower_bound(ch, TypicalityParams(n=6, delta=0.25), range(33))
+        report = amplitude_report(builtin_channel("pure_pair", overlap=COS45),
+                                  TypicalityParams(n=6, delta=0.25), range(33))
         assert report.ok
         assert report.epsilon_tilde >= report.epsilon_bar - 1e-12
 

@@ -19,18 +19,18 @@ from cqdec.decoder import (
     simulate_trial,
     verify_mixture_identity,
 )
-from cqdec.errors import ValidationError
+from cqdec.errors import ResourceBudgetError, ValidationError
 from cqdec.linalg import digit_table, product_entries
 from cqdec.typicality import (
     TypicalityParams,
     build_rho_tilde,
     build_typical_model,
-    conditional_typical_outputs,
 )
 
 from conftest import (
     amplitude_chain,
     assert_povm_matches_the_sequential_chain,
+    bruteforce_label_block,
     embedded_povm,
     fixture_channels,
     transcript_probability,
@@ -91,7 +91,7 @@ class TestBuildPlan:
         params = TypicalityParams(n=4, delta=0.3)
         plan = build_plan(cb, ch, params)
         expected = sum(
-            conditional_typical_outputs(ch, w, params.cond_delta).count for w in cb.codewords
+            len(bruteforce_label_block(ch, w, params.cond_delta)) for w in cb.codewords
         )
         assert plan.num_tests == expected
 
@@ -122,12 +122,26 @@ class TestBuildPlan:
             blocks = []
             for s in messages:
                 word = cb.codewords[s]
-                labels = conditional_typical_outputs(ch, word, params.cond_delta).labels
+                labels = bruteforce_label_block(ch, word, params.cond_delta)
                 blocks.append(product_entries([ch.coords[j] for j in word],
                                               plan.model.masked_digits, labels))
             ref = np.concatenate(blocks, axis=1)
             assert plan.columns.shape == ref.shape, name
             assert plan.columns.tobytes(order="F") == ref.tobytes(order="F"), name
+
+    def test_work_budget_counts_every_message_block(self):
+        # 43 messages over 30 distinct codewords, dim_H = 6: the columns are
+        # 43 one-column blocks, 258 numbers
+        ch = builtin_channel("pure_pair", overlap=COS45)
+        cb = sample_codebook(ch, 6, 0.9, 0.2, seed=7)
+        assert (cb.num_messages, len(set(cb.codewords))) == (43, 30)
+        params = TypicalityParams(n=6, delta=0.2)
+        with pytest.raises(ResourceBudgetError) as exc:
+            build_plan(cb, ch, params, budgets=Budgets(work_limit=180))
+        assert exc.value.reason == "work"
+        plan = build_plan(cb, ch, params, budgets=Budgets(work_limit=258))
+        assert plan.model.dim_H == 6
+        assert plan.columns.size == 258
 
     def test_bad_arguments(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
@@ -291,7 +305,7 @@ class TestAverageAmplitude:
         params = TypicalityParams(n=4, delta=0.3)
         model = build_typical_model(ch, params)
         rt = build_rho_tilde(ch, params, model)
-        res = average_amplitude(rt, model, 0)
+        res = average_amplitude(rt, 0)
         assert res.power == pytest.approx(rt.trace(), abs=1e-12)
         assert res.binomial == pytest.approx(rt.trace(), abs=1e-12)
 
@@ -302,7 +316,7 @@ class TestAverageAmplitude:
         params = wide_params(n)
         model = build_typical_model(ch, params)
         rt = build_rho_tilde(ch, params, model)
-        res = average_amplitude(rt, model, 1)
+        res = average_amplitude(rt, 1)
         assert res.power == pytest.approx(1.0 - 2.0**-n, abs=1e-12)
         assert res.binomial == pytest.approx(1.0 - 2.0**-n, abs=1e-9)
 
@@ -313,7 +327,7 @@ class TestAverageAmplitude:
             model = build_typical_model(ch, params)
             rt = build_rho_tilde(ch, params, model)
             for m in range(21):
-                res = average_amplitude(rt, model, m)
+                res = average_amplitude(rt, m)
                 assert abs(res.power - res.binomial) < 1e-9, (name, m)
 
     def test_binomial_cap(self):
@@ -321,17 +335,17 @@ class TestAverageAmplitude:
         params = wide_params(3)
         model = build_typical_model(ch, params)
         rt = build_rho_tilde(ch, params, model)
-        assert average_amplitude(rt, model, 70).binomial is None
-        assert average_amplitude(rt, model, 70, binomial_cap=128).binomial is not None
+        assert average_amplitude(rt, 70).binomial is None
+        assert average_amplitude(rt, 70, binomial_cap=128).binomial is not None
 
     def test_grid_matches_single_calls(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
         params = TypicalityParams(n=4, delta=0.4)
         model = build_typical_model(ch, params)
         rt = build_rho_tilde(ch, params, model)
-        grid = average_amplitude_powers(rt, model, 12)
+        grid = average_amplitude_powers(rt, 12)
         for m in (0, 3, 7, 12):
-            assert grid[m] == pytest.approx(average_amplitude(rt, model, m).power, abs=1e-12)
+            assert grid[m] == pytest.approx(average_amplitude(rt, m).power, abs=1e-12)
 
 
 class TestMixtureIdentity:
@@ -543,19 +557,20 @@ class TestSubspaceVariant:
         ch = builtin_channel("depolarized_pair", overlap=0.3, noise=0.4)
         cb = sample_codebook(ch, 4, 0.25, 0.3, seed=23)
         for word in cb.codewords:
-            cts = conditional_typical_outputs(ch, word, 0.3)
-            q = full_product_block(ch, word, cts.labels)
-            assert q.shape[1] == cts.count
+            labels = bruteforce_label_block(ch, word, 0.3)
+            count = len(labels)
+            q = full_product_block(ch, word, labels)
+            assert q.shape[1] == count
             # oracle: orthonormalization rank of the raw columns
-            assert np.linalg.matrix_rank(q, tol=1e-10) == cts.count
+            assert np.linalg.matrix_rank(q, tol=1e-10) == count
             gram = q.conj().T @ q
-            assert np.abs(gram - np.eye(cts.count)).max() < 1e-10
+            assert np.abs(gram - np.eye(count)).max() < 1e-10
 
     def test_classical_projectors_are_diagonal_masks(self):
         ch = builtin_channel("classical_bit")
         cb = sample_codebook(ch, 3, 0.4, 2.0, seed=24)
         for word in cb.codewords:
-            q = full_product_block(ch, word, conditional_typical_outputs(ch, word, 2.0).labels)
+            q = full_product_block(ch, word, bruteforce_label_block(ch, word, 2.0))
             proj = q @ q.conj().T
             off = proj - np.diag(np.diag(proj))
             assert np.abs(off).max() < 1e-12

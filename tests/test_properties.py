@@ -49,12 +49,13 @@ from cqdec.typicality import (
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
-    conditional_typical_outputs,
 )
 
 from conftest import (
+    assert_block_labels_match_bruteforce,
     assert_povm_matches_the_sequential_chain,
-    assert_shared_cache_matches_fresh,
+    bruteforce_conditional_labels,
+    bruteforce_label_block,
     channel_cases,
     embedded_povm,
     random_density,
@@ -101,7 +102,7 @@ def dense_chain_elements(plan, params):
     elements = []
     for t in plan.tests:
         labels = (np.array([t.labels]) if t.labels is not None
-                  else conditional_typical_outputs(ch, t.codeword, params.cond_delta).labels)
+                  else bruteforce_label_block(ch, t.codeword, params.cond_delta))
         q = product_entries([ch.coords[j] for j in t.codeword], digits, labels)
         w = chain.conj().T @ q
         elements.append(w @ w.conj().T)
@@ -123,12 +124,13 @@ def test_product_entries_is_a_block_of_the_kron_product(case):
 
 
 @SETTINGS
-@given(channel_cases(), st.sampled_from((0.0, 0.1, 0.2, 0.4, 2.0)), st.integers(1, 64), st.data())
-def test_shared_class_block_cache_matches_a_fresh_one(case, delta, limit, data):
+@given(channel_cases(), st.sampled_from((0.0, 0.1, 0.2, 0.4, 2.0)), st.integers(1, 256), st.data())
+def test_block_labels_match_the_bruteforce_enumeration(case, delta, limit, data):
     ch, n = case
     letter = st.integers(0, ch.alphabet_size - 1)
     words = data.draw(st.lists(st.tuples(*[letter] * n), min_size=1, max_size=12))
-    assert_shared_cache_matches_fresh(ch, words, delta, Budgets(set_limit=limit))
+    words += data.draw(st.lists(st.sampled_from(words), max_size=4))  # repeated rows
+    assert_block_labels_match_bruteforce(ch, words, delta, Budgets(set_limit=limit))
 
 
 @SETTINGS
@@ -175,12 +177,13 @@ def pairwise_mixture(ch, params, model):
     digits = digit_table(ch.letter_dim, params.n)
     lhs = np.zeros((model.dim_total, model.dim_total), dtype=complex)
     for row in classical_typical_set(ch.priors, params.n, params.source_delta).sequences:
-        cts = conditional_typical_outputs(ch, row, params.cond_delta)
+        labels, probs = bruteforce_conditional_labels(ch, row.tolist(), params.cond_delta)
         p_seq = math.exp(float(np.log(ch.priors)[row.astype(int)].sum()))
-        vecs = product_entries([ch.coords[int(j)] for j in row], digits, cts.labels)
-        for i in range(cts.count):
+        vecs = product_entries([ch.coords[int(j)] for j in row], digits,
+                               np.array(labels, dtype=int).reshape(-1, params.n))
+        for i in range(len(labels)):
             v = np.where(model.mask, vecs[:, i], 0.0)
-            lhs += (p_seq * float(cts.probs[i])) * np.outer(v, v.conj())
+            lhs += (p_seq * float(probs[i])) * np.outer(v, v.conj())
     return lhs
 
 

@@ -10,17 +10,16 @@ from cqdec.errors import ResourceBudgetError, ValidationError
 from cqdec.linalg import digit_table
 from cqdec.typicality import (
     TypicalityParams,
-    _ClassBlockCache,
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
-    conditional_typical_outputs,
+    conditional_labels,
     is_typical_sequence,
     subordination_gap,
     typical_set_size,
 )
 
-from conftest import assert_shared_cache_matches_fresh, fixture_channels
+from conftest import assert_block_labels_match_bruteforce, fixture_channels
 
 COS45 = math.cos(math.pi / 4)
 
@@ -77,26 +76,33 @@ class TestClassicalTypicalSet:
             classical_typical_set([0.5, 0.5], 10, 0.5, budgets=Budgets(set_limit=16))
 
 
+def one_word(ch, word, delta_cond):
+    """conditional_labels of a one-row block: its labels and probs."""
+    labels, probs, counts = conditional_labels(ch, [word], delta_cond)
+    assert counts.tolist() == [labels.shape[0]]
+    return labels, probs
+
+
 class TestConditionalTypicalOutputs:
     def test_pure_alphabet_single_label(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
-        cts = conditional_typical_outputs(ch, (0, 1, 0), 0.3)
-        assert cts.count == 1
-        assert tuple(cts.labels[0]) == (0, 0, 0)
-        assert cts.total_prob == pytest.approx(1.0)
+        labels, probs = one_word(ch, (0, 1, 0), 0.3)
+        assert labels.shape[0] == 1
+        assert tuple(labels[0]) == (0, 0, 0)
+        assert probs.sum() == pytest.approx(1.0)
 
     def test_flat_single_letter(self):
         ch = make_channel([1.0], [np.eye(2) / 2])
-        cts = conditional_typical_outputs(ch, (0, 0), 0.0)
-        got = {tuple(row) for row in cts.labels}
+        labels, probs = one_word(ch, (0, 0), 0.0)
+        got = {tuple(row) for row in labels}
         assert got == {(0, 1), (1, 0)}
-        assert np.allclose(cts.probs, [0.25, 0.25])
+        assert np.allclose(probs, [0.25, 0.25])
 
     def test_huge_delta_accepts_everything(self):
         ch = builtin_channel("depolarized_pair", overlap=0.0, noise=0.5)
-        cts = conditional_typical_outputs(ch, (0, 1, 1), 2.0)
-        assert cts.count == 8
-        assert cts.total_prob == pytest.approx(1.0, abs=1e-12)
+        labels, probs = one_word(ch, (0, 1, 1), 2.0)
+        assert labels.shape[0] == 8
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_bruteforce(self, rng):
         # oracle: filter all label sequences by per-class counts
@@ -104,53 +110,48 @@ class TestConditionalTypicalOutputs:
         j_seq = (0, 1, 0, 1)
         n = len(j_seq)
         delta = 0.2
-        cts = conditional_typical_outputs(ch, j_seq, delta)
+        labels, _ = one_word(ch, j_seq, delta)
         expected = []
-        for labels in itertools.product(range(2), repeat=n):
+        for seq in itertools.product(range(2), repeat=n):
             ok = True
             for j in set(j_seq):
                 for k in range(2):
                     m = sum(
-                        1 for i in range(n) if j_seq[i] == j and labels[i] == k
+                        1 for i in range(n) if j_seq[i] == j and seq[i] == k
                     )
                     target = ch.priors[j] * ch.letters[j].probs[k]
                     if abs(m / n - target) > delta + 1e-12:
                         ok = False
             if ok:
-                expected.append(labels)
-        assert sorted(tuple(r) for r in cts.labels) == sorted(expected)
+                expected.append(seq)
+        assert sorted(tuple(r) for r in labels) == sorted(expected)
 
     def test_probability_accounting(self):
         ch = builtin_channel("depolarized_pair", overlap=0.0, noise=0.5)
         totals = []
         for delta in (0.1, 0.2, 0.4, 2.0):
-            cts = conditional_typical_outputs(ch, (0, 1, 0, 1), delta)
-            totals.append(cts.total_prob)
-            assert cts.total_prob <= 1.0 + 1e-12
+            total = float(one_word(ch, (0, 1, 0, 1), delta)[1].sum())
+            totals.append(total)
+            assert total <= 1.0 + 1e-12
         assert totals == sorted(totals)
         assert totals[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_letter_out_of_range(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
         with pytest.raises(ValidationError):
-            conditional_typical_outputs(ch, (0, 2), 0.2)
+            conditional_labels(ch, [(0, 2)], 0.2)
+        with pytest.raises(ValidationError):
+            conditional_labels(ch, [(0, 1), (-1, 0)], 0.2)
 
-    def test_shared_cache_matches_fresh(self):
+    def test_block_matches_bruteforce_on_fixture_channels(self):
         channels = dict(fixture_channels(), trine=builtin_channel("trine"))
         for ch in channels.values():
             words = list(itertools.product(range(ch.alphabet_size), repeat=5))
             for delta in (0.0, 0.2, 0.4):
+                assert_block_labels_match_bruteforce(ch, words + words[::3], delta, Budgets())
                 # depolarized_pair's label sets at delta 0.4 hold 10, 20 or 28 members
-                for limit in (10**6, 24):
-                    assert_shared_cache_matches_fresh(ch, words, delta, Budgets(set_limit=limit))
-
-    def test_cache_for_another_point_is_rejected(self):
-        ch = builtin_channel("pure_pair", overlap=0.5)
-        cache = _ClassBlockCache(ch, 3, 0.2)
-        with pytest.raises(ValidationError):
-            conditional_typical_outputs(ch, (0, 1, 0, 1), 0.2, cache=cache)
-        with pytest.raises(ValidationError):
-            conditional_typical_outputs(ch, (0, 1, 0), 0.3, cache=cache)
+                for word in words:
+                    assert_block_labels_match_bruteforce(ch, [word], delta, Budgets(set_limit=24))
 
 
 class TestTypicalModel:
@@ -280,6 +281,21 @@ class TestRhoTilde:
                 model = build_typical_model(ch, TypicalityParams(n=n, delta=0.3))
                 traces.append(model.trace_bar)
             assert traces == sorted(traces), (name, traces)
+
+    @pytest.mark.parametrize("name, kwargs, n", [
+        ("depolarized_pair", {"overlap": 0.5, "noise": 0.3}, 6),
+        ("trine", {}, 5),
+        ("pure_pair", {"overlap": COS45}, 6),
+    ])
+    def test_chunked_sum_matches_one_chunk(self, name, kwargs, n):
+        # a work budget of 7 dim_H-sized columns splits the pairs mid-sequence
+        ch = builtin_channel(name, **kwargs)
+        params = TypicalityParams(n=n, delta=0.3)
+        model = build_typical_model(ch, params)
+        one = build_rho_tilde(ch, params, model)
+        chunked = build_rho_tilde(ch, params, model, budgets=Budgets(work_limit=7 * model.dim_H))
+        assert model.dim_H > 0 and not one.is_diagonal
+        assert np.abs(chunked.as_dense() - one.as_dense()).max() <= 1e-15
 
     def test_pair_budget(self):
         ch = builtin_channel("classical_bit")
