@@ -33,7 +33,6 @@ from .pgm import pgm_error_probability
 from .typicality import (
     MaskedHermitian,
     TypicalModel,
-    TypicalSet,
     TypicalityParams,
     build_rho_tilde,
     build_typical_model,

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import as_number, as_numbers
 from .errors import ConfigError, ValidationError
 from .linalg import (
     TOL_EIG,
@@ -240,14 +241,18 @@ _CHANNEL_FILE_KEYS = {"builtin", "overlap", "flip", "noise", "letter_dim", "prio
 _BUILTIN_PARAM_KEYS = {"overlap", "flip", "noise"}
 
 
+def _entry(e, name: str) -> complex:
+    """A matrix entry: a number or an [re, im] pair of numbers."""
+    if isinstance(e, list) and len(e) == 2:
+        return complex(as_number(e[0], float, name), as_number(e[1], float, name))
+    return complex(as_number(e, float, name))
+
+
 def _matrix_from_entries(rows, name: str) -> np.ndarray:
     try:
-        mat = np.array(
-            [[complex(e[0], e[1]) if isinstance(e, list) else complex(e) for e in row] for row in rows]
-        )
-    except (TypeError, IndexError) as exc:
-        raise ConfigError(f"{name}: entries must be numbers or [re, im] pairs") from exc
-    return mat
+        return np.array([[_entry(e, name) for e in row] for row in rows])
+    except (TypeError, ValueError) as exc:  # not a list of rows, or ragged rows
+        raise ConfigError(f"{name}: must be a list of rows of equal length") from exc
 
 
 def parse_channel_document(doc: dict) -> CQChannel:
@@ -257,7 +262,7 @@ def parse_channel_document(doc: dict) -> CQChannel:
         raise ConfigError(f"unknown channel keys: {sorted(unknown)}")
     if "builtin" in doc:
         name = doc["builtin"]
-        params = {k: doc[k] for k in _BUILTIN_PARAM_KEYS if k in doc}
+        params = {k: as_number(doc[k], float, k) for k in _BUILTIN_PARAM_KEYS if k in doc}
         try:
             return builtin_channel(name, **params)
         except ValidationError as exc:
@@ -265,13 +270,15 @@ def parse_channel_document(doc: dict) -> CQChannel:
     for key in ("letter_dim", "priors", "outputs"):
         if key not in doc:
             raise ConfigError(f"channel document missing key '{key}'")
-    d = int(doc["letter_dim"])
+    d = as_number(doc["letter_dim"], int, "letter_dim")
+    if not isinstance(doc["outputs"], list):
+        raise ConfigError("'outputs' must be a JSON list of matrices")
     outs = [_matrix_from_entries(rows, f"output {i}") for i, rows in enumerate(doc["outputs"])]
     for i, m in enumerate(outs):
         if m.shape != (d, d):
             raise ConfigError(f"output {i} has shape {m.shape}, expected ({d}, {d})")
     try:
-        return make_channel(doc["priors"], outs)
+        return make_channel(as_numbers(doc["priors"], float, "priors"), outs)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -172,7 +172,7 @@ def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[d
     gap = subordination_gap(rho_tilde, model)
     add("subordination", "pass" if gap <= 1e-10 else "fail", gap, 1e-10)
     try:
-        dev = verify_mixture_identity(ch, params, budgets)
+        dev = verify_mixture_identity(ch, params, model, rho_tilde, budgets)
         add("mixture_identity", "pass" if dev <= 1e-10 else "fail", dev, 1e-10)
     except ResourceBudgetError as exc:
         add("mixture_identity", f"skip:{exc.reason}")
@@ -197,7 +197,7 @@ def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[d
             ch, n, cfg.r_grid[0], params.source_delta, seed,
             distinct=cfg.distinct_codewords, budgets=budgets,
         )
-        plan = build_plan(codebook, ch, params, budgets=budgets)
+        plan = build_plan(codebook, ch, params, model=model, budgets=budgets)
         povm = build_povm(plan, budgets=budgets)
         defect = povm.completeness_defect()
         add("povm_completeness", "pass" if defect <= 1e-9 else "fail", defect, 1e-9)

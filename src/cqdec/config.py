@@ -9,6 +9,7 @@ errors at the schema layer: a typo must never silently change an experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -89,13 +90,27 @@ class ExperimentConfig:
     work_budget: int | None = None
 
 
-def _as_tuple(value, caster, key):
+def as_number(value, caster, key):
+    """A JSON number as ``caster`` (int or float); any other value is a config error.
+
+    bools, strings, lists and null are not numbers, inf and nan are
+    rejected, and an int key takes only integral values.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)
+            or caster is int and value != int(value)):
+        raise ConfigError(f"'{key}' must be a finite {caster.__name__}, got {value!r}")
+    try:
+        return caster(value)
+    except OverflowError as exc:  # an int too large for a float
+        raise ConfigError(f"'{key}' is out of range") from exc
+
+
+def as_numbers(value, caster, key):
+    """A JSON list of numbers as a tuple of ``caster`` (see as_number)."""
     if not isinstance(value, list):
         raise ConfigError(f"'{key}' must be a JSON list")
-    try:
-        return tuple(caster(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' has a non-{caster.__name__} entry") from exc
+    return tuple(as_number(v, caster, key) for v in value)
 
 
 def experiment_config_from_document(doc: dict) -> ExperimentConfig:
@@ -108,18 +123,20 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
     if not isinstance(channel, str):
         raise ConfigError("'channel' must be a builtin name or 'file'")
     channel_file = doc.get("channel_file")
+    if channel_file is not None and not isinstance(channel_file, str):
+        raise ConfigError("'channel_file' must be a path")
     if channel == "file" and not channel_file:
         raise ConfigError("channel = file requires 'channel_file'")
     if channel != "file" and channel_file:
         raise ConfigError("'channel_file' is only valid with channel = file")
 
-    params = {k: float(doc[k]) for k in ("overlap", "flip", "noise") if k in doc}
+    params = {k: as_number(doc[k], float, k) for k in ("overlap", "flip", "noise") if k in doc}
 
     kwargs: dict = {"channel": channel, "channel_file": channel_file, "channel_params": params}
     if "n_grid" in doc:
-        kwargs["n_grid"] = _as_tuple(doc["n_grid"], int, "n_grid")
+        kwargs["n_grid"] = as_numbers(doc["n_grid"], int, "n_grid")
     if "R_grid" in doc:
-        kwargs["r_grid"] = _as_tuple(doc["R_grid"], float, "R_grid")
+        kwargs["r_grid"] = as_numbers(doc["R_grid"], float, "R_grid")
     for key, caster in (
         ("delta", float),
         ("delta_source", float),
@@ -133,12 +150,12 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
         ("work_budget", int),
     ):
         if key in doc:
-            try:
-                kwargs[key] = caster(doc[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"'{key}' must be a {caster.__name__}") from exc
+            kwargs[key] = as_number(doc[key], caster, key)
     if "variants" in doc:
-        variants = _as_tuple(doc["variants"], str, "variants")
+        variants = doc["variants"]
+        if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
+            raise ConfigError("'variants' must be a JSON list of names")
+        variants = tuple(variants)
         bad = set(variants) - set(_VARIANTS)
         if bad:
             raise ConfigError(f"unknown variants {sorted(bad)}; valid: {_VARIANTS}")

@@ -63,7 +63,6 @@ from .typicality import (
     TypicalityParams,
     _ClassBlockCache,
     _letter_type,
-    build_rho_tilde,
     build_typical_model,
     classical_typical_set,
     conditional_labels,
@@ -235,12 +234,10 @@ class DecoderPlan:
         mass ||a_l||^2 and aborts at the typicality check after it with
         a_l^dagger (1 - W_l^dagger W_l) a_l; the survival in front of each
         test is the reverse cumulative sum of these from ||psi - W_B a||^2.
-        A no-branch below the floor, relative to the survival in front of its
-        test, is a forced decode, and a survival below the floor, relative to
-        its no-branch, an abort; either completes the chain.  Neither can
-        happen in a run whose final survival stays above the floor, relative
-        to the survival in front of it.  A stored chain the memo has no room
-        for continues as an unstored copy.
+        Every run, rank-one or wider, then goes through _outcome_masses,
+        which applies both floor rules; a rule that trips completes the
+        chain.  A stored chain the memo has no room for continues as an
+        unstored copy.
         """
         run = chain.run
         factor = self.run_factor(run)
@@ -255,30 +252,18 @@ class DecoderPlan:
             return self._append(chain, [max(total + scale, 1.0)], True, None, 0.0)
         np.matmul(factor.matrix[first:], psi, out=a[first:])
         sq = a.real * a.real + a.imag * a.imag
-        complete = run + 1 == len(self.runs)
         if factor.loss is not None:  # rank-one tests, up to dim_H of them
             after = psi - factor.columns @ a
-            end = float(np.vdot(after, after).real)
-            loss = sq * factor.loss
-            front = end + np.cumsum((sq + loss)[::-1])[::-1]
-            if end > _NORM_FLOOR * front[0]:
-                steps = np.empty(2 * sq.size + 1)
-                steps[0] = total
-                steps[1::2] = scale * sq
-                steps[2::2] = scale * loss
-                values = np.cumsum(steps)[1:].tolist()
-            else:
-                values, complete = _run_masses(total, scale, sq.tolist(), loss.tolist(), end,
-                                               complete)
+            decode, loss = sq, sq * factor.loss
         else:  # wider tests, a few per run: a_l^dagger W_l^dagger W_l a_l = ||W_l a_l||^2
             spans = list(zip(factor.bounds, factor.bounds[1:]))
             parts = [factor.columns[:, i:e] @ a[i:e] for i, e in spans]
             after = psi - sum(parts)
-            end = float(np.vdot(after, after).real)
-            decode = [float(sq[i:e].sum()) for i, e in spans]
-            loss = [max(d - np.vdot(p, p).real, 0.0) for d, p in zip(decode, parts)]
-            values, complete = _run_masses(total, scale, decode, loss, end, complete)
-        return self._append(chain, values, complete, after, end)
+            decode = np.array([sq[i:e].sum() for i, e in spans])
+            loss = np.maximum(decode - [np.vdot(p, p).real for p in parts], 0.0)
+        end = float(np.vdot(after, after).real)
+        values, cut = _outcome_masses(total, scale, decode, loss, end)
+        return self._append(chain, values, cut or run + 1 == len(self.runs), after, end)
 
     def _append(self, chain: BornChain, values, complete: bool, after, end: float) -> BornChain:
         """Store a run's masses, and the state after it unless the chain is complete."""
@@ -294,33 +279,35 @@ class DecoderPlan:
         return chain
 
 
-def _run_masses(total, scale, decode, loss, end, complete):
-    """A run's cumulative masses, one test at a time, with the floor rules.
+def _outcome_masses(total: float, scale: float, decode, loss, end: float) -> tuple[list, bool]:
+    """A run's cumulative outcome masses, with both floor rules, for all its tests at once.
 
-    ``total`` is the chain's last cumulative mass and ``scale`` the survival
-    in front of the run; ``decode`` and ``loss`` are the tests' masses
-    relative to it and ``end`` the survival after the run.  Returns the
-    masses and whether the chain is complete: a floor rule completes it and
-    pins the last mass at >= 1.
+    ``total`` is the chain's last cumulative mass, ``scale`` the survival in
+    front of the run, ``decode`` and ``loss`` the tests' masses relative to
+    it and ``end`` the survival after the run.  One cumulative sum over two
+    rows gives the masses and, summed from the back, s = [front_0, no_0,
+    front_1, ..., front_k]: no_l = front_(l+1) + loss_l is test l's
+    no-branch and front_l = no_l + decode_l the survival in front of it.  A
+    rule trips where an entry of s falls below the floor relative to the one
+    before it (no_l: a forced decode, front_(l+1): an abort); the first trip
+    cuts the run there and pins its last mass at >= 1.  Returns the masses
+    and whether a rule cut the run.
     """
-    front = [end]  # survival in front of each test, from the back
-    for d, x in zip(reversed(decode), reversed(loss)):
-        front.append(front[-1] + d + x)
-    front.reverse()
-    values = []
-    for l, (d, x) in enumerate(zip(decode, loss)):
-        no_branch = front[l + 1] + x
-        if no_branch < _NORM_FLOOR * front[l]:  # forced decode
-            values.append(max(total + scale * front[l], 1.0))
-            return values, True
-        total += scale * d
-        values.append(total)
-        if front[l + 1] < _NORM_FLOOR * no_branch:  # abort
-            values.append(max(total + scale * no_branch, 1.0))
-            return values, True
-        total += scale * x
-        values.append(total)
-    return values, complete
+    both = np.empty((2, 2 * decode.size + 1))
+    both[0, 0] = total
+    both[1, 0] = end
+    both[0, 1::2] = decode
+    both[0, 2::2] = loss
+    both[1, 1:] = both[0, :0:-1]
+    both[0, 1:] *= scale
+    masses, s = np.cumsum(both, axis=1)
+    s = s[::-1]
+    trips = s[1:] < _NORM_FLOOR * s[:-1]
+    i = int(trips.argmax())
+    if not trips[i]:
+        return masses[1:].tolist(), False
+    masses[i + 1] = max(masses[i] + scale * s[i], 1.0)
+    return masses[1:i + 2].tolist(), True
 
 
 def build_plan(
@@ -528,7 +515,11 @@ def average_amplitude_powers(rho_tilde: MaskedHermitian, m_max: int) -> np.ndarr
 
 
 def verify_mixture_identity(
-    ch: CQChannel, params: TypicalityParams, budgets: Budgets = DEFAULT_BUDGETS
+    ch: CQChannel,
+    params: TypicalityParams,
+    model: TypicalModel,
+    rho_tilde: MaskedHermitian,
+    budgets: Budgets = DEFAULT_BUDGETS,
 ) -> float:
     """Max-abs deviation between sum_l pi_l P P_l P and rho_tilde.
 
@@ -540,23 +531,22 @@ def verify_mixture_identity(
     tensor axes permuted to the class positions.  Each A_(j,m) is built once,
     each type's Kronecker product once per type (one at a time), and every
     sequence adds its permutation of it with weight p_seq.  Rows and columns
-    outside H are then zeroed, and the result is compared with
-    build_rho_tilde's masked path, embedded at the typical indices.
+    outside H are then zeroed, and the result is compared with ``rho_tilde``,
+    build_rho_tilde's masked result for ``model``, embedded at the typical
+    indices.
     """
-    model = build_typical_model(ch, params, budgets)
-    rho_tilde = build_rho_tilde(ch, params, model, budgets)
     n, d = params.n, ch.letter_dim
     dim = model.dim_total
     if dim * dim > budgets.work_limit:
         raise ResourceBudgetError(
             f"dense {dim}x{dim} accumulation exceeds work budget", reason="work"
         )
-    tset = classical_typical_set(ch.priors, n, params.source_delta, budgets)
+    seqs = classical_typical_set(ch.priors, n, params.source_delta, budgets)
     cache = _ClassBlockCache(ch, n, params.cond_delta)
     # each sequence's axis permutation, by type: its (letter, class size) pairs
     perms_by_type: dict[tuple[tuple[int, int], ...], list[np.ndarray]] = {}
     pairs = 0
-    for row in tset.sequences:
+    for row in seqs:
         key, order = _letter_type(row)
         count = cache.type_size(key)
         pairs += count

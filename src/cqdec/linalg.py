@@ -93,13 +93,12 @@ def product_entries(mats, rows, cols) -> np.ndarray:
     ``rows`` is (R, n) and ``cols`` is (K, n), each row a composite index
     written as base-d digits (see digit_table).  Entry (r, k) is the product
     over letters i of mats[i][rows[r, i], cols[k, i]], multiplied left to
-    right, so it equals the chained np.kron entry to the bit.
+    right, so it equals the chained np.kron entry to the bit.  At most two
+    (R, K) arrays are alive at once: the product and one letter's factor.
     """
-    out = None
-    for m, r, c in zip(mats, rows.T, cols.T):
-        factor = m.take(c, axis=1).take(r, axis=0)
-        if out is None:
-            out = factor
-        else:
-            out *= factor
+    letters = zip(mats, rows.T, cols.T)
+    m, r, c = next(letters)
+    out = m.take(c, axis=1).take(r, axis=0)
+    for m, r, c in letters:
+        out *= m.take(c, axis=1).take(r, axis=0)
     return out

@@ -6,7 +6,9 @@ Two flavors of typicality live here, each matching the clause it implements:
   the n-fold average state (weak typicality): a product eigenvector with
   weight w is kept iff 2^(-n(S+delta)) <= w <= 2^(-n(S-delta));
 * classical input sequences and conditional eigenlabel sequences use
-  frequency windows (strong typicality) on letter / label counts.
+  frequency windows (strong typicality) on letter / label counts: one
+  count-bounds computation serves both, enumerated by _window_sequences,
+  counted by _window_size and read by is_typical_sequence.
 
 Everything is expressed in the product eigenbasis of the average state, where
 P is a diagonal 0/1 mask and applying it costs O(d^n) instead of a dense
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -71,38 +72,44 @@ class TypicalityParams:
         return self.delta if self.delta_cond is None else self.delta_cond
 
 
-def is_typical_sequence(priors, seqs, delta_source: float) -> np.ndarray:
-    """Frequency-typicality mask over the rows of a (k, n) block of letter sequences."""
-    p = np.asarray(priors, dtype=float)
-    seqs = np.asarray(seqs, dtype=int)
-    counts = (seqs[:, :, None] == np.arange(p.size)).sum(axis=1)
-    return np.all(np.abs(counts / seqs.shape[1] - p) <= delta_source + _FREQ_WIDEN, axis=1)
-
-
-def _bounded_counts(targets, n_total: int, delta: float, size: int) -> list[tuple[int, ...]]:
-    """Count vectors m (sum ``size``) with |m_k/n_total - targets_k| <= delta for every k.
-
-    Vectors come out in lexicographic order.
-    """
-    bounds = []
+def _count_bounds(targets, n_total: int, delta: float, size: int) -> tuple[list, list]:
+    """Per-symbol count bounds of the window |m_k/n_total - targets_k| <= delta, out of ``size``."""
+    lo, hi = [], []
     for t in targets:
-        lo = math.ceil(n_total * (t - delta) - _FREQ_WIDEN * n_total)
-        hi = math.floor(n_total * (t + delta) + _FREQ_WIDEN * n_total)
-        bounds.append((max(lo, 0), min(hi, size)))
+        lo.append(max(math.ceil(n_total * (t - delta) - _FREQ_WIDEN * n_total), 0))
+        hi.append(min(math.floor(n_total * (t + delta) + _FREQ_WIDEN * n_total), size))
+    return lo, hi
+
+
+def _window_counts(targets, n_total: int, delta: float, size: int) -> list[tuple[int, ...]]:
+    """Count vectors m (sum ``size``) inside the window, in lexicographic order."""
+    lo, hi = _count_bounds(targets, n_total, delta, size)
     out: list[tuple[int, ...]] = []
 
     def rec(k: int, remaining: int, acc: list[int]):
-        if k == len(bounds) - 1:
-            lo, hi = bounds[k]
-            if lo <= remaining <= hi:
+        if k == len(lo) - 1:
+            if lo[k] <= remaining <= hi[k]:
                 out.append(tuple(acc + [remaining]))
             return
-        lo, hi = bounds[k]
-        for m in range(lo, min(hi, remaining) + 1):
+        for m in range(lo[k], min(hi[k], remaining) + 1):
             rec(k + 1, remaining - m, acc + [m])
 
     rec(0, size, [])
     return out
+
+
+def _window_size(targets, n_total: int, delta: float, size: int) -> int:
+    """How many sequences of length ``size`` have their counts inside the window."""
+    return sum(_multinomial(size, m) for m in _window_counts(targets, n_total, delta, size))
+
+
+def _window_sequences(targets, n_total: int, delta: float, size: int) -> np.ndarray:
+    """(count, size) int16 array of the sequences inside the window, lexicographic."""
+    seqs: list[tuple[int, ...]] = []
+    for m in _window_counts(targets, n_total, delta, size):
+        seqs.extend(_multiset_permutations(list(m)))
+    seqs.sort()
+    return np.array(seqs, dtype=np.int16).reshape(len(seqs), size)
 
 
 def _multinomial(n: int, counts) -> int:
@@ -133,49 +140,31 @@ def _multiset_permutations(counts: list[int]):
     yield from rec()
 
 
-@dataclass(frozen=True)
-class TypicalSet:
-    n: int
-    delta_source: float
-    priors: np.ndarray
-    sequences: np.ndarray  # (count, n) int16, lexicographic
-    total_prob: float
-
-    @property
-    def count(self) -> int:
-        return self.sequences.shape[0]
+def is_typical_sequence(priors, seqs, delta_source: float) -> np.ndarray:
+    """Frequency-typicality mask over the rows of a (k, n) block of letter sequences."""
+    seqs = np.asarray(seqs, dtype=int)
+    n = seqs.shape[1]
+    lo, hi = _count_bounds(np.asarray(priors, dtype=float), n, delta_source, n)
+    counts = (seqs[:, :, None] == np.arange(len(lo))).sum(axis=1)
+    return np.all((counts >= lo) & (counts <= hi), axis=1)
 
 
 def typical_set_size(priors, n: int, delta_source: float) -> int:
     """Cardinality of the frequency-typical set, without enumerating it."""
-    p = np.asarray(priors, dtype=float)
-    return sum(_multinomial(n, t) for t in _bounded_counts(p, n, delta_source, n))
+    return _window_size(np.asarray(priors, dtype=float), n, delta_source, n)
 
 
 def classical_typical_set(
     priors, n: int, delta_source: float, budgets: Budgets = DEFAULT_BUDGETS
-) -> TypicalSet:
-    """Exact enumeration of letter sequences with typical empirical frequencies."""
-    p = np.asarray(priors, dtype=float)
-    types = _bounded_counts(p, n, delta_source, n)
-    size = sum(_multinomial(n, t) for t in types)
+) -> np.ndarray:
+    """(count, n) int16 array of the letter sequences with typical frequencies, lexicographic."""
+    size = typical_set_size(priors, n, delta_source)
     if size > budgets.set_limit:
         raise ResourceBudgetError(
             f"typical set has {size} members, over set budget {budgets.set_limit}",
             reason="set",
         )
-    seqs: list[tuple[int, ...]] = []
-    for t in types:
-        seqs.extend(_multiset_permutations(list(t)))
-    seqs.sort()
-    arr = np.array(seqs, dtype=np.int16).reshape(len(seqs), n)
-    if len(seqs) == 0:
-        arr = np.empty((0, n), dtype=np.int16)
-        total = 0.0
-    else:
-        logs = np.log(p)[arr.astype(int)].sum(axis=1)
-        total = float(np.exp(logs).sum())
-    return TypicalSet(n=n, delta_source=delta_source, priors=p, sequences=arr, total_prob=total)
+    return _window_sequences(np.asarray(priors, dtype=float), n, delta_source, n)
 
 
 class _ClassBlockCache:
@@ -198,9 +187,7 @@ class _ClassBlockCache:
     def count(self, letter: int, size: int) -> int:
         key = (letter, size)
         if key not in self._counts:
-            self._counts[key] = sum(
-                _multinomial(size, m) for m in self._count_vectors(letter, size)
-            )
+            self._counts[key] = _window_size(self._targets(letter), self.n_total, self.delta, size)
         return self._counts[key]
 
     def type_size(self, key: tuple) -> int:
@@ -209,27 +196,14 @@ class _ClassBlockCache:
             self._sizes[key] = math.prod(self.count(j, m) for j, m in key)
         return self._sizes[key]
 
-    def _count_vectors(self, letter: int, size: int) -> list[tuple[int, ...]]:
-        targets = float(self.ch.priors[letter]) * self.ch.letters[letter].probs
-        return _bounded_counts(targets, self.n_total, self.delta, size)
+    def _targets(self, letter: int) -> np.ndarray:
+        return float(self.ch.priors[letter]) * self.ch.letters[letter].probs
 
     def block(self, letter: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         key = (letter, size)
         if key not in self._blocks:
-            spectrum = self.ch.letters[letter]
-            seqs: list[tuple[int, ...]] = []
-            for m in self._count_vectors(letter, size):
-                seqs.extend(_multiset_permutations(list(m)))
-            seqs.sort()
-            labels = (
-                np.array(seqs, dtype=np.int16).reshape(len(seqs), size)
-                if seqs
-                else np.empty((0, size), dtype=np.int16)
-            )
-            if len(seqs):
-                probs = np.prod(spectrum.probs[labels.astype(int)], axis=1)
-            else:
-                probs = np.empty(0)
+            labels = _window_sequences(self._targets(letter), self.n_total, self.delta, size)
+            probs = np.prod(self.ch.letters[letter].probs[labels.astype(int)], axis=1)
             self._blocks[key] = (labels, probs)
         return self._blocks[key]
 
@@ -440,8 +414,7 @@ def build_rho_tilde(
     p(sequence) * p(labels | sequence); the result is masked to the typical
     subspace and returned in the masked basis.
     """
-    tset = classical_typical_set(ch.priors, params.n, params.source_delta, budgets)
-    seqs = tset.sequences
+    seqs = classical_typical_set(ch.priors, params.n, params.source_delta, budgets)
     labels, probs, counts = conditional_labels(ch, seqs, params.cond_delta, budgets)
     p_seq = [math.exp(x) for x in np.log(ch.priors)[seqs].sum(axis=1).tolist()]
     weights = np.repeat(p_seq, counts) * probs
@@ -466,10 +439,15 @@ def build_rho_tilde(
     table = np.concatenate(ch.coords, axis=1)
     cols = labels + d * words
     acc = np.zeros((dim_h, dim_h), dtype=complex)
-    chunk = max(1, budgets.work_limit // max(dim_h, 1))
+    # a chunk keeps two (dim_H, chunk) arrays alive: in product_entries the
+    # product and one factor, here the weighted block and the block, which is
+    # conjugated in place; together they stay within work_limit
+    chunk = max(1, budgets.work_limit // max(2 * dim_h, 1))
     for at in range(0, cols.shape[0], chunk):
         block = product_entries([table] * n, model.masked_digits, cols[at:at + chunk])
-        acc += (block * weights[at:at + chunk]) @ block.conj().T
+        weighted = block * weights[at:at + chunk]
+        acc += weighted @ np.conjugate(block, out=block).T
+        del block, weighted
     acc = 0.5 * (acc + acc.conj().T)
     return MaskedHermitian(dense=acc)
 

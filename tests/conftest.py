@@ -19,7 +19,8 @@ from cqdec.linalg import (
     entropy_of_spectrum,
     spectral_decompose,
 )
-from cqdec.typicality import conditional_labels
+from cqdec.decoder import verify_mixture_identity
+from cqdec.typicality import build_rho_tilde, build_typical_model, conditional_labels
 
 FLOOR = 1e-14
 
@@ -202,6 +203,12 @@ def assert_block_labels_match_bruteforce(ch, words, delta_cond, budgets):
         assert first[0].tobytes() == rows.tobytes() and first[1].tobytes() == row_probs.tobytes()
 
 
+def mixture_deviation(ch, params):
+    """verify_mixture_identity on the typical model and rho_tilde of ``params``."""
+    model = build_typical_model(ch, params)
+    return verify_mixture_identity(ch, params, model, build_rho_tilde(ch, params, model))
+
+
 @dataclass(frozen=True)
 class MeasurementBudget:
     m_theory_log2: float
@@ -363,6 +370,37 @@ def sequential_masses(plan, j_seq, labels):
         total += loss
         yield total
         front = after
+
+
+def scalar_run_masses(total, scale, decode, loss, end):
+    """A run's cumulative masses, one test at a time, with the floor rules.
+
+    The scalar reference for decoder._outcome_masses.  ``total`` is the
+    chain's last cumulative mass and ``scale`` the survival in front of the
+    run; ``decode`` and ``loss`` are the tests' masses relative to it and
+    ``end`` the survival after the run.  The survival in front of a test is
+    the one after it plus its loss, which is its no-branch, plus its decode.
+    Returns the masses and whether a floor rule cut the run, which pins
+    the last mass at >= 1.
+    """
+    front = [end]  # survival in front of each test, from the back
+    for d, x in zip(reversed(decode), reversed(loss)):
+        front.append(front[-1] + x + d)
+    front.reverse()
+    values = []
+    for l, (d, x) in enumerate(zip(decode, loss)):
+        no_branch = front[l + 1] + x
+        if no_branch < FLOOR * front[l]:  # forced decode
+            values.append(max(total + scale * front[l], 1.0))
+            return values, True
+        total += scale * d
+        values.append(total)
+        if front[l + 1] < FLOOR * no_branch:  # abort
+            values.append(max(total + scale * no_branch, 1.0))
+            return values, True
+        total += scale * x
+        values.append(total)
+    return values, False
 
 
 def transcript_probability(plan, ch, j_seq, labels, test_index):

@@ -39,7 +39,6 @@ from cqdec.decoder import (
     build_povm,
     exact_error_probability,
     simulate_trial,
-    verify_mixture_identity,
 )
 from cqdec.errors import ResourceBudgetError
 from cqdec.experiments import point_seed
@@ -51,7 +50,13 @@ from cqdec.typicality import (
     subordination_gap,
 )
 
-from conftest import embedded_povm, fixture_channels, measurement_budget, transcript_probability
+from conftest import (
+    embedded_povm,
+    fixture_channels,
+    measurement_budget,
+    mixture_deviation,
+    transcript_probability,
+)
 
 COS45 = math.cos(math.pi / 4)
 FIXTURES = fixture_channels()
@@ -83,7 +88,7 @@ def test_criterion_02_mixture_identity():
     worst = 0.0
     for name, ch in FIXTURES.items():
         for n in (2, 3, 4, 5, 6):
-            dev = verify_mixture_identity(ch, TypicalityParams(n=n, delta=0.3))
+            dev = mixture_deviation(ch, TypicalityParams(n=n, delta=0.3))
             worst = max(worst, dev)
             assert dev <= 1e-10, (name, n, dev)
     assert record(2, "mixture identity", True, f"worst dev {worst:.2e}")

@@ -56,6 +56,8 @@ class TestConfigParsing:
             experiment_config_from_document({"channel": "trine", "variants": ["bogus"]})
         with pytest.raises(ConfigError):
             experiment_config_from_document({"channel": "trine", "ordering": "bogus"})
+        with pytest.raises(ConfigError):
+            experiment_config_from_document({"channel": "file", "channel_file": 5})
 
 
 class TestCapacity:
@@ -264,6 +266,50 @@ class TestExitCodes:
     def test_out_of_range_value_is_a_config_error(self, tmp_path, command, line):
         cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
         assert main([command, "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("command, line", [
+        ("simulate", "overlap = abc"),
+        ("simulate", "overlap = [1]"),
+        ("simulate", "overlap = null"),
+        ("simulate", "overlap = true"),
+        ("simulate", "trials = true"),
+        ("simulate", "trials = 2.5"),
+        ("simulate", "trials = Infinity"),
+        ("verify", "delta = true"),
+        ("verify", "delta = NaN"),
+        ("simulate", "n_grid = [true, 4]"),
+        ("simulate", "R_grid = [\"0.25\"]"),
+        ("simulate", "variants = [1]"),
+    ])
+    def test_value_of_the_wrong_type_is_a_config_error(self, tmp_path, command, line):
+        # the line replaces the base config's line for the same key
+        key = line.partition("=")[0].strip()
+        kept = [x for x in BASE_CONFIG.splitlines() if x.partition("=")[0].strip() != key]
+        cfg = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
+        assert main([command, "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("document", [
+        pytest.param('letter_dim = "x"\npriors = [0.5, 0.5]\n'
+                     'outputs = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]', id="letter_dim-string"),
+        pytest.param("letter_dim = 2\npriors = [0.5, 0.5]\noutputs = 5", id="outputs-number"),
+        pytest.param("letter_dim = 2\npriors = [0.5, 0.5]\n"
+                     "outputs = [[[1, 0], [0]], [[0, 0], [0, 1]]]", id="outputs-ragged"),
+        pytest.param('letter_dim = 2\npriors = [0.5, 0.5]\n'
+                     'outputs = [[[1, 0], [0, "x"]], [[0, 0], [0, 1]]]', id="entry-string"),
+        pytest.param("letter_dim = 2\npriors = [0.5, 0.5]\n"
+                     "outputs = [[[true, 0], [0, false]], [[0, 0], [0, 1]]]", id="entry-bool"),
+        pytest.param("letter_dim = 2\npriors = [0.5, 0.5]\n"
+                     "outputs = [[[1, [0, 0, 7]], [0, 0]], [[0, 0], [0, 1]]]", id="entry-triple"),
+        pytest.param('letter_dim = 2\npriors = "x"\n'
+                     'outputs = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]', id="priors-string"),
+        pytest.param('builtin = pure_pair\noverlap = "q"', id="builtin-overlap-string"),
+        pytest.param("builtin = pure_pair\noverlap = true", id="builtin-overlap-bool"),
+    ])
+    def test_channel_file_value_of_the_wrong_type_is_a_config_error(self, tmp_path, document):
+        chan = tmp_path / "chan.cfg"
+        chan.write_text(document + "\n")
+        cfg = write_config(tmp_path, f"channel = file\nchannel_file = {chan}\n")
+        assert main(["capacity", "--config", cfg]) == 1
 
     @pytest.mark.parametrize("env, value", [
         ("CQDEC_DIM_BUDGET", "abc"),

@@ -42,7 +42,7 @@ class TestSampleCodebook:
         ch = builtin_channel("classical_bit")
         cb = sample_codebook(ch, 4, 0.5, 0.0, seed=7)
         assert cb.num_messages == 4
-        allowed = {tuple(s) for s in classical_typical_set([0.5, 0.5], 4, 0.0).sequences}
+        allowed = {tuple(s) for s in classical_typical_set([0.5, 0.5], 4, 0.0)}
         for w in cb.codewords:
             assert sum(w) == 2  # exactly two of each letter
             assert w in allowed

@@ -17,7 +17,6 @@ from cqdec.decoder import (
     build_povm,
     exact_error_probability,
     simulate_trial,
-    verify_mixture_identity,
 )
 from cqdec.errors import ResourceBudgetError, ValidationError
 from cqdec.linalg import digit_table, product_entries
@@ -33,6 +32,7 @@ from conftest import (
     bruteforce_label_block,
     embedded_povm,
     fixture_channels,
+    mixture_deviation,
     transcript_probability,
 )
 
@@ -351,19 +351,19 @@ class TestAverageAmplitude:
 class TestMixtureIdentity:
     def test_classical_everything_typical(self):
         ch = builtin_channel("classical_bit")
-        assert verify_mixture_identity(ch, wide_params(3)) < 1e-12
+        assert mixture_deviation(ch, wide_params(3)) < 1e-12
 
     def test_single_letter(self):
         ch = make_channel([1.0], [np.diag([0.75, 0.25])])
-        assert verify_mixture_identity(ch, wide_params(4)) < 1e-12
+        assert mixture_deviation(ch, wide_params(4)) < 1e-12
 
     def test_pure_pair(self):
         ch = builtin_channel("pure_pair", overlap=COS45)
-        assert verify_mixture_identity(ch, TypicalityParams(n=3, delta=0.4)) <= 1e-10
+        assert mixture_deviation(ch, TypicalityParams(n=3, delta=0.4)) <= 1e-10
 
     def test_all_fixtures_small(self):
         for name, ch in fixture_channels().items():
-            dev = verify_mixture_identity(ch, TypicalityParams(n=4, delta=0.3))
+            dev = mixture_deviation(ch, TypicalityParams(n=4, delta=0.3))
             assert dev <= 1e-10, name
 
 

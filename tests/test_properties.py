@@ -14,7 +14,9 @@ path, which reads a trial's outcome from WY-run outcome masses with one
 uniform, is checked against the same law walked one test at a time with one
 rng.choice per letter: the same transcripts and the same generator state,
 also under a memo cap, and the same decode masses to 1e-12.  Its outcome
-frequencies per message are checked against the exact oracle.
+frequencies per message are checked against the exact oracle, and the
+vectorised run-mass step with both floor rules against the scalar
+one-test-at-a-time loop on synthetic runs that trip either rule anywhere.
 """
 import dataclasses
 import itertools
@@ -34,6 +36,7 @@ from cqdec.decoder import (
     DECODED,
     ChainMemo,
     Transcript,
+    _outcome_masses,
     build_plan,
     build_povm,
     exact_error_probability,
@@ -60,6 +63,7 @@ from conftest import (
     embedded_povm,
     random_density,
     reference_codewords,
+    scalar_run_masses,
     sequential_masses,
     transcript_probability,
 )
@@ -176,7 +180,7 @@ def pairwise_mixture(ch, params, model):
     """sum_l pi_l P P_l P on the full d^n space, one np.outer per (sequence, label) pair."""
     digits = digit_table(ch.letter_dim, params.n)
     lhs = np.zeros((model.dim_total, model.dim_total), dtype=complex)
-    for row in classical_typical_set(ch.priors, params.n, params.source_delta).sequences:
+    for row in classical_typical_set(ch.priors, params.n, params.source_delta):
         labels, probs = bruteforce_conditional_labels(ch, row.tolist(), params.cond_delta)
         p_seq = math.exp(float(np.log(ch.priors)[row.astype(int)].sum()))
         vecs = product_entries([ch.coords[int(j)] for j in row], digits,
@@ -195,13 +199,13 @@ def test_batched_mixture_identity_matches_the_pairwise_sum(case, delta, delta_so
     params = TypicalityParams(n=n, delta=delta, delta_source=delta_source, delta_cond=delta_cond)
     model = build_typical_model(ch, params)
     lhs = pairwise_mixture(ch, params, model)
+    rho_tilde = build_rho_tilde(ch, params, model)
     if model.dim_H == 0:
         reference = float(np.abs(lhs).max())
     else:
         ix = model.masked_indices
-        rho_tilde = build_rho_tilde(ch, params, model).as_dense()
-        reference = float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde).max())
-    batched = verify_mixture_identity(ch, params)
+        reference = float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde.as_dense()).max())
+    batched = verify_mixture_identity(ch, params, model, rho_tilde)
     assert abs(batched - reference) <= 1e-12
     assert batched <= 1e-10 and reference <= 1e-10
 
@@ -214,13 +218,13 @@ def test_kronecker_mixture_identity_on_qutrit_letter_classes():
     params = TypicalityParams(n=4, delta=0.3, delta_source=0.2, delta_cond=0.5)
     model = build_typical_model(ch, params)
     assert 0 < model.dim_H < model.dim_total
-    sequences = classical_typical_set(ch.priors, 4, 0.2).sequences
+    sequences = classical_typical_set(ch.priors, 4, 0.2)
     assert min(len(set(row.tolist())) for row in sequences) >= 2
     lhs = pairwise_mixture(ch, params, model)
     ix = model.masked_indices
-    rho_tilde = build_rho_tilde(ch, params, model).as_dense()
-    reference = float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde).max())
-    kronecker = verify_mixture_identity(ch, params)
+    rho_tilde = build_rho_tilde(ch, params, model)
+    reference = float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde.as_dense()).max())
+    kronecker = verify_mixture_identity(ch, params, model, rho_tilde)
     assert abs(kronecker - reference) <= 1e-12
     assert kronecker <= 1e-10 and reference <= 1e-10
 
@@ -438,6 +442,48 @@ def test_trial_frequencies_per_message_match_the_exact_oracle(name, params, n, r
         for freq, p in zip(counts / trials, exact):
             bound = 4 * math.sqrt(max(p * (1 - p), 0.0) / trials) + 4 / trials
             assert abs(freq - p) <= bound, (s, counts, exact)
+
+
+@st.composite
+def run_mass_cases(draw):
+    """Synthetic (total, scale, decode, loss, end) of a run of 1-12 tests, and a floor rule to trip.
+
+    ``rule`` is None (masses >= 1e-3, nothing trips), "forced" or "abort" at
+    test ``at``: everything after that test, and for "forced" its own loss,
+    is set to 0 or to a vanishing 1e-30 or 1e-20.  "any" mixes zeros and
+    vanishing masses anywhere, where any rule may trip.
+    """
+    k = draw(st.integers(1, 12))
+    rule = draw(st.sampled_from((None, "forced", "abort", "any")))
+    mass = st.floats(1e-3, 1.0)
+    if rule == "any":
+        mass = st.one_of(mass, st.sampled_from((0.0, 1e-30, 1e-17, 1e-14)))
+    decode = np.array(draw(st.lists(mass, min_size=k, max_size=k)))
+    loss = np.array(draw(st.lists(mass, min_size=k, max_size=k)))
+    end = draw(mass)
+    at = draw(st.integers(0, k - 1))
+    if rule in ("forced", "abort"):
+        end = draw(st.sampled_from((0.0, 1e-30, 1e-20)))
+        decode[at + 1:] = loss[at + 1:] = end
+        if rule == "forced":
+            loss[at] = end
+    return draw(st.floats(0.0, 0.5)), draw(st.floats(1e-3, 1.0)), decode, loss, end, rule, at
+
+
+@settings(SETTINGS, max_examples=300)
+@given(run_mass_cases())
+def test_vectorised_run_masses_match_the_scalar_floor_rules(case):
+    total, scale, decode, loss, end, rule, at = case
+    values, cut = _outcome_masses(total, scale, decode, loss, end)
+    assert (values, cut) == scalar_run_masses(total, scale, decode.tolist(), loss.tolist(), end)
+    if rule is None:
+        assert not cut and len(values) == 2 * decode.size
+    elif rule == "forced":
+        assert cut and len(values) == 2 * at + 1
+    elif rule == "abort":
+        assert cut and len(values) == 2 * at + 2
+    if cut:
+        assert values[-1] >= 1.0
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from cqdec.budgets import Budgets
 from cqdec.channel import builtin_channel, make_channel
 from cqdec.errors import ResourceBudgetError, ValidationError
-from cqdec.linalg import digit_table
+from cqdec.linalg import digit_table, product_entries
 from cqdec.typicality import (
     TypicalityParams,
     build_rho_tilde,
@@ -43,29 +44,39 @@ def enumerate_typical_bruteforce(p, n, delta):
 
 class TestClassicalTypicalSet:
     def test_single_letter(self):
-        ts = classical_typical_set([1.0], 5, 0.1)
-        assert ts.count == 1
-        assert tuple(ts.sequences[0]) == (0,) * 5
+        seqs = classical_typical_set([1.0], 5, 0.1)
+        assert seqs.dtype == np.int16 and seqs.shape == (1, 5)
+        assert tuple(seqs[0]) == (0,) * 5
 
     def test_half_half_exact(self):
-        ts = classical_typical_set([0.5, 0.5], 4, 0.0)
+        seqs = classical_typical_set([0.5, 0.5], 4, 0.0)
         oracle = enumerate_typical_bruteforce([0.5, 0.5], 4, 0.0)
-        assert ts.count == len(oracle) == 6
-        assert [tuple(s) for s in ts.sequences] == sorted(oracle)
+        assert len(seqs) == len(oracle) == 6
+        assert [tuple(s) for s in seqs] == sorted(oracle)
 
     def test_half_half_loose(self):
-        ts = classical_typical_set([0.5, 0.5], 4, 0.3)
+        seqs = classical_typical_set([0.5, 0.5], 4, 0.3)
         oracle = enumerate_typical_bruteforce([0.5, 0.5], 4, 0.3)
-        assert ts.count == len(oracle) == 14
+        assert len(seqs) == len(oracle) == 14
+
+    def test_empty_window(self):
+        seqs = classical_typical_set([0.5, 0.5], 3, 0.0)
+        assert seqs.dtype == np.int16 and seqs.shape == (0, 3)
+        assert typical_set_size([0.5, 0.5], 3, 0.0) == 0
 
     def test_matches_bruteforce_random(self, rng):
+        every = np.array(list(itertools.product(range(3), repeat=5)))
         for _ in range(5):
             p = rng.dirichlet(np.ones(3))
             delta = float(rng.uniform(0.05, 0.4))
-            ts = classical_typical_set(p, 5, delta)
+            seqs = classical_typical_set(p, 5, delta)
             oracle = enumerate_typical_bruteforce(p, 5, delta)
-            assert [tuple(s) for s in ts.sequences] == sorted(oracle)
+            assert [tuple(s) for s in seqs] == sorted(oracle)
             assert typical_set_size(p, 5, delta) == len(oracle)
+            # the membership test reads the same count bounds as the enumeration
+            members = set(oracle)
+            assert is_typical_sequence(p, every, delta).tolist() == [
+                tuple(row) in members for row in every.tolist()]
 
     def test_membership_predicate(self):
         block = [(0, 1, 0, 1), (0, 0, 0, 1)]
@@ -288,7 +299,8 @@ class TestRhoTilde:
         ("pure_pair", {"overlap": COS45}, 6),
     ])
     def test_chunked_sum_matches_one_chunk(self, name, kwargs, n):
-        # a work budget of 7 dim_H-sized columns splits the pairs mid-sequence
+        # a work budget of 7 dim_H-sized columns, 3 columns a chunk, splits the
+        # pairs mid-sequence
         ch = builtin_channel(name, **kwargs)
         params = TypicalityParams(n=n, delta=0.3)
         model = build_typical_model(ch, params)
@@ -296,6 +308,40 @@ class TestRhoTilde:
         chunked = build_rho_tilde(ch, params, model, budgets=Budgets(work_limit=7 * model.dim_H))
         assert model.dim_H > 0 and not one.is_diagonal
         assert np.abs(chunked.as_dense() - one.as_dense()).max() <= 1e-15
+
+    def test_dense_chunks_stay_within_the_work_budget(self):
+        # the chunk's live arrays together hold at most work_limit complex
+        # numbers (16 bytes each); a quarter more covers the per-pair index
+        # tables and acc.  Several chunks, and the sum still matches one chunk
+        ch = builtin_channel("depolarized_pair", overlap=0.5, noise=0.3)
+        params = TypicalityParams(n=7, delta=0.3)
+        model = build_typical_model(ch, params)
+        limit = 2**19
+        one = build_rho_tilde(ch, params, model)
+        tracemalloc.start()
+        try:
+            chunked = build_rho_tilde(ch, params, model, budgets=Budgets(work_limit=limit))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * limit
+        assert np.abs(chunked.as_dense() - one.as_dense()).max() <= 1e-15
+
+    def test_one_chunk_is_the_weighted_gram_matrix_to_the_bit(self):
+        ch = builtin_channel("pure_pair", overlap=COS45)
+        params = TypicalityParams(n=6, delta=0.3)
+        model = build_typical_model(ch, params)
+        seqs = classical_typical_set(ch.priors, 6, 0.3)
+        labels, probs, counts = conditional_labels(ch, seqs, 0.3)
+        p_seq = [math.exp(x) for x in np.log(ch.priors)[seqs].sum(axis=1).tolist()]
+        weights = np.repeat(p_seq, counts) * probs
+        words = np.repeat(seqs, counts, axis=0)
+        block = np.stack([product_entries([ch.coords[j] for j in w], model.masked_digits,
+                                          np.array([k]))[:, 0] for w, k in zip(words, labels)],
+                         axis=1)
+        ref = (block * weights) @ block.conj().T
+        ref = 0.5 * (ref + ref.conj().T)
+        assert build_rho_tilde(ch, params, model).dense.tobytes() == ref.tobytes()
 
     def test_pair_budget(self):
         ch = builtin_channel("classical_bit")
