@@ -19,26 +19,8 @@ from .codebook import sample_codebook
 from .config import ExperimentConfig, load_experiment_config, parse_kv_text
 from .decoder import average_amplitude, build_plan, build_povm, verify_mixture_identity
 from .errors import ConfigError, CqdecError, ResourceBudgetError, ValidationError
-from .experiments import CSV_COLUMNS, PointResult, point_seed, run_grid
-from .typicality import (
-    TypicalityParams,
-    build_rho_tilde,
-    build_typical_model,
-    subordination_gap,
-)
-
-_HARD_CHECKS = {
-    "eigv_rho_bar",
-    "typc_dim",
-    "eigv_rho_tilde",
-    "subordination",
-    "mixture_identity",
-    "amplitude_two_forms",
-    "trace_power",
-    "amplitude_lower",
-    "povm_completeness",
-    "povm_positivity",
-}
+from .experiments import CSV_COLUMNS, point_seed, run_grid, typicality_params
+from .typicality import build_rho_tilde, build_typical_model, subordination_gap
 
 
 def _fmt(value) -> str:
@@ -93,21 +75,9 @@ def _emit_table(rows: list[dict], columns: tuple[str, ...], fmt: str, out_path: 
         sys.stdout.write(text)
 
 
-def cmd_capacity(cfg: ExperimentConfig, fmt: str, out_path: str | None, jobs: int) -> int:
-    ch = resolve_channel(cfg)
-    rows = [
-        {
-            "channel": cfg.channel if cfg.channel != "file" else cfg.channel_file,
-            "chi": holevo_chi(ch),
-            "S_rho": ch.avg_entropy,
-            "mean_letter_entropy": ch.mean_letter_entropy,
-        }
-    ]
-    _emit_table(rows, ("channel", "chi", "S_rho", "mean_letter_entropy"), fmt, out_path)
-    return 0
-
-
 _VERIFY_COLUMNS = ("n", "delta", "check", "index", "lhs", "rhs", "status")
+# The decoder variants of each grid command; None runs the config's.
+_GRID_VARIANTS = {"simulate": None, "compare": ("rank_one", "subspace", "pgm")}
 
 
 def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[dict]:
@@ -126,13 +96,7 @@ def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[d
             }
         )
 
-    params = TypicalityParams(
-        n=n,
-        delta=cfg.delta,
-        delta_source=cfg.delta_source,
-        delta_cond=cfg.delta_cond,
-        epsilon_target=cfg.epsilon_target,
-    )
+    params = typicality_params(cfg, n)
     try:
         model = build_typical_model(ch, params, budgets)
     except ResourceBudgetError as exc:
@@ -176,11 +140,8 @@ def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[d
         add("mixture_identity", "pass" if dev <= 1e-10 else "fail", dev, 1e-10)
     except ResourceBudgetError as exc:
         add("mixture_identity", f"skip:{exc.reason}")
-    worst_two_forms = 0.0
-    m_top = min(cfg.m_max, 20)
-    for m in range(0, m_top + 1, 4):
-        res = average_amplitude(rho_tilde, m)
-        worst_two_forms = max(worst_two_forms, abs(res.power - res.binomial))
+    power, binomial = average_amplitude(rho_tilde, range(0, min(cfg.m_max, 20) + 1, 4))
+    worst_two_forms = float(abs(power - binomial).max())
     add("amplitude_two_forms", "pass" if worst_two_forms <= 1e-9 else "fail",
         worst_two_forms, 1e-9)
     for c in check_trace_power_bounds(rho_tilde, n, cfg.delta, model.s_rho, j_max=6):
@@ -209,48 +170,29 @@ def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[d
     return rows
 
 
-def cmd_verify(cfg: ExperimentConfig, fmt: str, out_path: str | None, jobs: int) -> int:
+def output_table(command: str, cfg: ExperimentConfig, jobs: int) -> tuple[list[dict], tuple]:
+    """The rows and columns a command writes."""
     ch = resolve_channel(cfg)
+    if command == "capacity":
+        row = {
+            "channel": cfg.channel if cfg.channel != "file" else cfg.channel_file,
+            "chi": holevo_chi(ch),
+            "S_rho": ch.avg_entropy,
+            "mean_letter_entropy": ch.mean_letter_entropy,
+        }
+        return [row], tuple(row)
     budgets = resolve_budgets(cfg)
-    rows: list[dict] = []
-    for n in cfg.n_grid:
-        rows.extend(_verify_point(ch, cfg, n, budgets))
-    _emit_table(rows, _VERIFY_COLUMNS, fmt, out_path)
-    hard_failures = [
-        r for r in rows if r["status"] == "fail" and r["check"] in _HARD_CHECKS
-    ]
-    return 3 if hard_failures else 0
-
-
-def cmd_simulate(cfg: ExperimentConfig, fmt: str, out_path: str | None, jobs: int) -> int:
-    ch = resolve_channel(cfg)
-    budgets = resolve_budgets(cfg)
-    results = run_grid(ch, cfg, budgets=budgets, jobs=jobs)
-    _emit_table([r.csv_values() for r in results], CSV_COLUMNS, fmt, out_path)
-    return 0
-
-
-def cmd_compare(cfg: ExperimentConfig, fmt: str, out_path: str | None, jobs: int) -> int:
-    ch = resolve_channel(cfg)
-    budgets = resolve_budgets(cfg)
-    results = run_grid(ch, cfg, variants=("rank_one", "subspace", "pgm"),
-                       budgets=budgets, jobs=jobs)
-    _emit_table([r.csv_values() for r in results], CSV_COLUMNS, fmt, out_path)
-    return 0
-
-
-_COMMANDS = {
-    "capacity": cmd_capacity,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-}
+    if command == "verify":
+        rows = [row for n in cfg.n_grid for row in _verify_point(ch, cfg, n, budgets)]
+        return rows, _VERIFY_COLUMNS
+    results = run_grid(ch, cfg, _GRID_VARIANTS[command], budgets, jobs)
+    return [r.csv_values() for r in results], CSV_COLUMNS
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cqdec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in ("capacity", "verify", *_GRID_VARIANTS):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -266,7 +208,10 @@ def main(argv=None) -> int:
         cfg = load_experiment_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        return _COMMANDS[args.command](cfg, args.format, args.out, max(1, args.jobs))
+        rows, columns = output_table(args.command, cfg, max(1, args.jobs))
+        _emit_table(rows, columns, args.format, args.out)
+        # only verify's check rows can fail; simulate and compare rows are ok or skipped
+        return 3 if any(row.get("status") == "fail" for row in rows) else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

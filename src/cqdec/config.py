@@ -181,6 +181,9 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
         raise ConfigError("'trials' must be >= 0")
     if cfg.m_max < 0:
         raise ConfigError("'m_max' must be >= 0")
+    for key, values in (("n_grid", cfg.n_grid), ("R_grid", cfg.r_grid), ("variants", cfg.variants)):
+        if not values or len(set(values)) < len(values):
+            raise ConfigError(f"'{key}' must list at least one entry, none twice")
     if any(n < 1 for n in cfg.n_grid):
         raise ConfigError("'n_grid' entries must be >= 1")
     if any(r < 0 for r in cfg.r_grid):

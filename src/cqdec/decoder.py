@@ -450,42 +450,33 @@ def simulate_trial(
     return Transcript(ABORT_ATYPICAL, None, labels, (i + 1) // 2)
 
 
-@dataclass(frozen=True)
-class AvgAmplitude:
-    """Two independent evaluations of the codebook-averaged chain amplitude."""
-
-    power: float
-    binomial: float | None
-
-
 def average_amplitude(
     rho_tilde: MaskedHermitian,
-    m: int,
+    m_grid,
     binomial_cap: int = 64,
-) -> AvgAmplitude:
-    """Tr[(P - rho_tilde)^m rho_tilde], plus its alternating-binomial expansion.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tr[(P - rho_tilde)^m rho_tilde] for each m of ``m_grid``, in two independent forms.
 
-    The power form multiplies matrices in the masked basis m times.  The
-    binomial form sum_k C(m,k) (-1)^k Tr[rho_tilde^(k+1)] is evaluated with
+    Returns the power form and the binomial form, each an array aligned with
+    ``m_grid``.  The power form is read from one incremental sweep of matrix
+    products up to the largest m (average_amplitude_powers).  The binomial
+    form sum_k C(m,k) (-1)^k Tr[rho_tilde^(k+1)] is evaluated with
     compensated summation and only up to ``binomial_cap`` (alternating
-    binomial sums lose precision beyond that); past the cap it is None.
+    binomial sums lose precision beyond that); past the cap it is nan.
     """
-    if m < 0:
+    m_grid = [int(m) for m in m_grid]
+    if any(m < 0 for m in m_grid):
         raise ValidationError("m must be >= 0")
-    power = float(average_amplitude_powers(rho_tilde, m)[m])
-    binomial = None
-    if m <= binomial_cap:
-        lam = rho_tilde.eigenvalues()
-        if lam.size == 0:
-            binomial = 0.0
-        else:
-            traces = [float(np.sum(lam ** (k + 1))) for k in range(m + 1)]
-            terms = [
-                (-1.0) ** k * math.comb(m, k) * traces[k]
-                for k in range(m + 1)
-            ]
-            binomial = math.fsum(terms)
-    return AvgAmplitude(power=power, binomial=binomial)
+    m_top = max(m_grid, default=0)
+    power = average_amplitude_powers(rho_tilde, m_top)[m_grid]
+    lam = rho_tilde.eigenvalues()
+    traces = [float(np.sum(lam ** (k + 1))) for k in range(min(m_top, binomial_cap) + 1)]
+    binomial = np.array([
+        math.fsum((-1.0) ** k * math.comb(m, k) * traces[k] for k in range(m + 1))
+        if m <= binomial_cap else math.nan
+        for m in m_grid
+    ])
+    return power, binomial
 
 
 def average_amplitude_powers(rho_tilde: MaskedHermitian, m_max: int) -> np.ndarray:

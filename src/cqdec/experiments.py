@@ -9,7 +9,8 @@ point share one codebook: comparisons are on identical codes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -29,30 +30,6 @@ from .decoder import (
 from .errors import ResourceBudgetError, ValidationError
 from .pgm import pgm_error_probability
 from .typicality import TypicalityParams
-
-CSV_COLUMNS = (
-    "n",
-    "R",
-    "variant",
-    "seed",
-    "status",
-    "reason",
-    "N_n",
-    "M",
-    "dim_H",
-    "trials",
-    "errors",
-    "err",
-    "ci_low",
-    "ci_high",
-    "abort_frac",
-    "misdecode_frac",
-    "exact_err",
-    "exact_abort_frac",
-    "exact_misdecode_frac",
-    "chi",
-    "margin",
-)
 
 _EXACT_AUTO_DIM = 1024
 _EXACT_AUTO_TESTS = 512
@@ -75,6 +52,8 @@ def binomial_interval(errors: int, trials: int, z: float = 3.0) -> tuple[float, 
 
 @dataclass(frozen=True)
 class PointResult:
+    """One (n, R, variant) grid point: one row of the simulate/compare CSV."""
+
     n: int
     rate: float
     variant: str
@@ -98,29 +77,24 @@ class PointResult:
     margin: float | None = None
 
     def csv_values(self) -> dict:
-        return {
-            "n": self.n,
-            "R": self.rate,
-            "variant": self.variant,
-            "seed": self.seed,
-            "status": self.status,
-            "reason": self.reason,
-            "N_n": self.num_messages,
-            "M": self.num_tests,
-            "dim_H": self.dim_h,
-            "trials": self.trials,
-            "errors": self.errors,
-            "err": self.err,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "abort_frac": self.abort_frac,
-            "misdecode_frac": self.misdecode_frac,
-            "exact_err": self.exact_err,
-            "exact_abort_frac": self.exact_abort_frac,
-            "exact_misdecode_frac": self.exact_misdecode_frac,
-            "chi": self.chi,
-            "margin": self.margin,
-        }
+        return dict(zip(CSV_COLUMNS, astuple(self)))
+
+
+# PointResult's fields, in order, are the simulate/compare CSV columns; these
+# four are renamed to the paper's symbols.
+_CSV_NAMES = {"rate": "R", "num_messages": "N_n", "num_tests": "M", "dim_h": "dim_H"}
+CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(PointResult))
+
+
+def typicality_params(cfg: ExperimentConfig, n: int) -> TypicalityParams:
+    """The config's typicality windows at block length n."""
+    return TypicalityParams(
+        n=n,
+        delta=cfg.delta,
+        delta_source=cfg.delta_source,
+        delta_cond=cfg.delta_cond,
+        epsilon_target=cfg.epsilon_target,
+    )
 
 
 def run_point(
@@ -137,13 +111,7 @@ def run_point(
     margin = rate_condition(ch, rate, cfg.delta)
     base = dict(n=n, rate=rate, variant=variant, seed=seed, chi=chi, margin=margin)
     try:
-        params = TypicalityParams(
-            n=n,
-            delta=cfg.delta,
-            delta_source=cfg.delta_source,
-            delta_cond=cfg.delta_cond,
-            epsilon_target=cfg.epsilon_target,
-        )
+        params = typicality_params(cfg, n)
         codebook = sample_codebook(
             ch, n, rate, params.source_delta, seed,
             distinct=cfg.distinct_codewords, budgets=budgets,
@@ -214,11 +182,6 @@ def run_point(
         return PointResult(**base, status="skipped", reason=f"invalid: {exc}")
 
 
-def _run_point_task(args) -> PointResult:
-    ch, cfg, n, rate, variant, seed, budgets = args
-    return run_point(ch, cfg, n, rate, variant, seed, budgets)
-
-
 def run_grid(
     ch: CQChannel,
     cfg: ExperimentConfig,
@@ -227,19 +190,19 @@ def run_grid(
     jobs: int = 1,
 ) -> list[PointResult]:
     """Every (n, R, variant) point of the config, deterministically seeded."""
-    variants = variants or cfg.variants
-    tasks = []
-    for ni, n in enumerate(cfg.n_grid):
-        for ri, rate in enumerate(cfg.r_grid):
-            seed = point_seed(cfg.seed, ni, ri)
-            for variant in variants:
-                tasks.append((ch, cfg, n, rate, variant, seed, budgets))
-    if jobs > 1 and len(tasks) > 1:
+    run = partial(run_point, ch, cfg, budgets=budgets)
+    points = [
+        (n, rate, variant, point_seed(cfg.seed, ni, ri))
+        for ni, n in enumerate(cfg.n_grid)
+        for ri, rate in enumerate(cfg.r_grid)
+        for variant in variants or cfg.variants
+    ]
+    if jobs > 1 and len(points) > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~15 ms of import, for --jobs > 1 only
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_point_task, tasks))
+            results = list(pool.map(run, *zip(*points)))
     else:
-        results = [_run_point_task(t) for t in tasks]
+        results = [run(*point) for point in points]
     results.sort(key=lambda r: (r.n, r.rate, r.variant))
     return results

@@ -17,6 +17,7 @@ from cqdec.linalg import (
     TOL_TRACE,
     as_complex_matrix,
     entropy_of_spectrum,
+    product_entries,
     spectral_decompose,
 )
 from cqdec.decoder import verify_mixture_identity
@@ -201,6 +202,28 @@ def assert_block_labels_match_bruteforce(ch, words, delta_cond, budgets):
         assert np.allclose(row_probs[order], ref_probs, rtol=1e-14, atol=0.0)
         first = seen.setdefault(tuple(word), (rows, row_probs))
         assert first[0].tobytes() == rows.tobytes() and first[1].tobytes() == row_probs.tobytes()
+
+
+def typical_capture(ch, model, codewords) -> np.ndarray:
+    """Tr(P rho_s) = ||A_s[H, :]||_F^2 for each codeword s.
+
+    A_s is codeword s's Kronecker factor, the product of its letters'
+    coords[:, :support] sqrt(probs).  One product_entries call reads every
+    codeword's factor columns at the typical rows, model.masked_digits.
+    """
+    supports = [sp.support for sp in ch.letters]
+    table = np.concatenate(
+        [u[:, :sp.support] * np.sqrt(sp.probs) for u, sp in zip(ch.coords, ch.letters)], axis=1
+    )
+    offsets = np.cumsum([0] + supports)
+    owner, cols = [], []
+    for s, word in enumerate(codewords):
+        for labels in itertools.product(*(range(supports[j]) for j in word)):
+            owner.append(s)
+            cols.append([offsets[j] + k for j, k in zip(word, labels)])
+    a = product_entries([table] * model.n, model.masked_digits, np.array(cols))
+    mass = (a.real * a.real + a.imag * a.imag).sum(axis=0)
+    return np.bincount(owner, weights=mass, minlength=len(codewords))
 
 
 def mixture_deviation(ch, params):

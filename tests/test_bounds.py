@@ -11,8 +11,16 @@ from cqdec.bounds import (
     trace_power_bound_log2,
 )
 from cqdec.channel import builtin_channel, holevo_chi
+from cqdec.codebook import sample_codebook
+from cqdec.decoder import build_plan
 from cqdec.errors import ValidationError
-from cqdec.typicality import MaskedHermitian, TypicalityParams, build_rho_tilde, build_typical_model
+from cqdec.typicality import (
+    MaskedHermitian,
+    TypicalityParams,
+    build_rho_tilde,
+    build_typical_model,
+    classical_typical_set,
+)
 
 from conftest import measurement_budget
 
@@ -124,6 +132,54 @@ class TestAmplitudeLowerBound:
                                   TypicalityParams(n=6, delta=0.25), range(33))
         assert report.ok
         assert report.epsilon_tilde >= report.epsilon_bar - 1e-12
+
+
+class TestCodebookAveragedAmplitude:
+    """The paper's averaging step, on sampled codebooks.
+
+    The paper reads Tr[(P - rho_tilde)^m rho_tilde] as the codebook average of
+    the success amplitude of the message tested last.  For pure letters,
+    rank-one tests and independent codewords the average is exact:
+    E[a_0] = Tr[(I - rho_c)^(N-1) rho_c], for a_0 = w_0^dagger
+    prod_(l>=1) (I - w_l w_l^dagger) w_0 and rho_c = E[w w^dagger] of one
+    codeword's test column w = P phi.  sample_codebook draws codewords from
+    the typical set T only, while build_rho_tilde weights every sequence by
+    p(x), so rho_c = rho_tilde / p(T).
+    """
+
+    SEEDS = range(1000)  # the codebook seeds of every row, fixed in advance
+
+    @pytest.mark.parametrize("n, rate, delta", [(6, 0.3, 0.2), (8, 0.3, 0.2), (6, 0.5, 0.3)])
+    def test_mean_amplitude_of_the_last_message_matches_the_trace_formula(self, n, rate, delta):
+        ch = builtin_channel("pure_pair", overlap=COS45)
+        params = TypicalityParams(n=n, delta=delta)
+        model = build_typical_model(ch, params)
+        rho_tilde = build_rho_tilde(ch, params, model)
+        p_typical = float(np.prod(ch.priors[classical_typical_set(ch.priors, n, delta)],
+                                  axis=1).sum())
+        amplitudes = []
+        for seed in self.SEEDS:
+            codebook = sample_codebook(ch, n, rate, delta, seed)
+            plan = build_plan(codebook, ch, params, ordering="worst_case", worst_index=0,
+                              model=model)
+            assert plan.num_tests == codebook.num_messages and plan.tests[-1].message == 0
+            w = plan.columns
+            v = w[:, -1].copy()
+            for l in range(plan.num_tests - 1):
+                v -= w[:, l] * np.vdot(w[:, l], v)
+            amplitudes.append(np.vdot(w[:, -1], v))
+        a = np.array(amplitudes)
+        n_msg = codebook.num_messages
+        lam = rho_tilde.eigenvalues() / p_typical
+        predicted = float(np.sum(lam * (1.0 - lam) ** (n_msg - 1)))
+        z = (a.real.mean() - predicted) / (a.real.std(ddof=1) / math.sqrt(a.size))
+        lower = gamma_lower_bound(n, delta, 1.0 - rho_tilde.trace(), model.s_rho,
+                                  n_msg - 1).lower_bound
+        summary = (f"E[a_0] = {a.real.mean():.4f}, predicted {predicted:.4f}, z = {z:.2f}, "
+                   f"E|a_0|^2 = {np.mean(np.abs(a) ** 2):.4f}, "
+                   f"1 - eps_tilde - gamma(N - 1) = {lower:.4f}")
+        assert abs(z) <= 4.0, summary
+        assert np.mean(np.abs(a) ** 2) >= abs(a.mean()) ** 2, summary
 
 
 class TestMeasurementBudget:

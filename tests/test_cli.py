@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cqdec import cli
 from cqdec.cli import main
 from cqdec.config import experiment_config_from_document, parse_kv_text
 from cqdec.errors import ConfigError
@@ -127,6 +128,29 @@ class TestVerify:
         out = tmp_path / "verify.csv"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         assert "skip:dim" in out.read_text()
+
+
+class TestVerifyExitRule:
+    # n = 3 captures less than 1 - epsilon_target; n = 8 is over the dim budget
+    CONFIG = ("channel = pure_pair\noverlap = 0.5\nn_grid = [3, 8]\nR_grid = [0.25]\n"
+              "delta = 0.3\nepsilon_target = 0.01\nseed = 3\ndim_budget = 16\n")
+
+    def run(self, tmp_path):
+        out = tmp_path / "verify.csv"
+        rc = main(["verify", "--config", write_config(tmp_path, self.CONFIG), "--out", str(out)])
+        with open(out, newline="") as fh:
+            return rc, list(csv.DictReader(fh))
+
+    def test_one_failed_check_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "subordination_gap", lambda rho_tilde, model: 1.0)
+        rc, rows = self.run(tmp_path)
+        assert [r["check"] for r in rows if r["status"] == "fail"] == ["subordination"]
+        assert rc == 3
+
+    def test_info_and_skip_rows_exit_0(self, tmp_path):
+        rc, rows = self.run(tmp_path)
+        assert {r["status"] for r in rows} - {"pass"} == {"info:below_target", "skip:dim"}
+        assert rc == 0
 
 
 class TestSimulate:
@@ -283,6 +307,20 @@ class TestExitCodes:
     ])
     def test_value_of_the_wrong_type_is_a_config_error(self, tmp_path, command, line):
         # the line replaces the base config's line for the same key
+        key = line.partition("=")[0].strip()
+        kept = [x for x in BASE_CONFIG.splitlines() if x.partition("=")[0].strip() != key]
+        cfg = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
+        assert main([command, "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("command, line", [
+        ("verify", "R_grid = []"),
+        ("simulate", "n_grid = []"),
+        ("compare", "variants = []"),
+        ("verify", "R_grid = [0.25, 0.25]"),
+        ("compare", "n_grid = [4, 4]"),
+        ("simulate", 'variants = ["rank_one", "rank_one"]'),
+    ])
+    def test_empty_or_repeated_grid_is_a_config_error(self, tmp_path, command, line):
         key = line.partition("=")[0].strip()
         kept = [x for x in BASE_CONFIG.splitlines() if x.partition("=")[0].strip() != key]
         cfg = write_config(tmp_path, "\n".join(kept + [line]) + "\n")

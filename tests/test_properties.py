@@ -9,7 +9,11 @@ completeness defect and minimum eigenvalue taken on H against the embedded
 dense POVM, the Kronecker-factor mixture identity against a pair-by-pair
 outer-product accumulation, and the exact oracle against the three-operand
 einsum on the kron outputs and, per message, against the Born-rule chain
-summed over every label sequence.  The memoised Monte Carlo
+summed over every label sequence, and its error against the typicality
+floor: at least the opening abort 1 - mean Tr(P rho_s), and for pure letters
+with rank-one tests at least 1 - mean Tr(P rho_s)^2, with Tr(P rho_s) read
+from the codewords' Kronecker factors and checked against the dense kron
+outputs.  The memoised Monte Carlo
 path, which reads a trial's outcome from WY-run outcome masses with one
 uniform, is checked against the same law walked one test at a time with one
 rng.choice per letter: the same transcripts and the same generator state,
@@ -61,11 +65,13 @@ from conftest import (
     bruteforce_label_block,
     channel_cases,
     embedded_povm,
+    fixture_channels,
     random_density,
     reference_codewords,
     scalar_run_masses,
     sequential_masses,
     transcript_probability,
+    typical_capture,
 )
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -322,6 +328,41 @@ def test_oracle_on_an_empty_window_is_a_certain_error():
     assert plan.model.dim_H == 0
     assert not np.any(povm.columns)
     assert exact_error_probability(povm, ch, cb).p_err == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(fixture_channels()))
+def test_typical_capture_is_the_trace_of_the_output_on_h(name):
+    ch = fixture_channels()[name]
+    model = build_typical_model(ch, TypicalityParams(n=4, delta=0.3))
+    assert model.dim_H > 0
+    words = list(itertools.product(range(ch.alphabet_size), repeat=4))
+    on_h = np.ix_(model.masked_indices, model.masked_indices)
+    dense = [np.trace(product_output_state(ch, w)[on_h]).real for w in words]
+    assert np.abs(typical_capture(ch, model, words) - dense).max() <= 1e-12
+
+
+@SETTINGS
+@given(channel_cases(), st.sampled_from((0.2, 0.5, 2.0)), st.data())
+def test_exact_error_is_at_least_the_typicality_floor(case, delta, data):
+    # The opening typicality check aborts message s with probability
+    # 1 - Tr(P rho_s).  For pure letters a rank-one test's success amplitude
+    # is <w_s|C|w_s> with C a product of contractions, so the success is at
+    # most ||w_s||^4 = Tr(P rho_s)^2.
+    ch, n = case
+    words = data.draw(st.lists(st.lists(st.integers(0, ch.alphabet_size - 1),
+                                        min_size=n, max_size=n), min_size=1, max_size=4))
+    codebook = Codebook(n=n, rate=0.0, seed=0, delta_source=2.0, distinct=False,
+                        codewords=tuple(tuple(w) for w in words))
+    params = TypicalityParams(n=n, delta=delta)
+    model = build_typical_model(ch, params)
+    capture = typical_capture(ch, model, codebook.codewords)
+    pure = all(sp.support == 1 for sp in ch.letters)
+    for variant in ("rank_one", "subspace"):
+        plan = build_plan(codebook, ch, params, variant=variant, model=model)
+        p_err = exact_error_probability(build_povm(plan), ch, codebook).p_err
+        assert p_err >= 1.0 - capture.mean() - 1e-12, variant
+        if pure and variant == "rank_one":
+            assert p_err >= 1.0 - (capture**2).mean() - 1e-12
 
 
 @SETTINGS
