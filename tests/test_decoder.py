@@ -344,9 +344,8 @@ class TestAverageAmplitude:
         model = build_typical_model(ch, params)
         rt = build_rho_tilde(ch, params, model)
         grid = average_amplitude_powers(rt, 12)
-        power, _ = average_amplitude(rt, (0, 3, 7, 12))
-        for m, value in zip((0, 3, 7, 12), power):
-            assert grid[m] == pytest.approx(value, abs=1e-12)
+        for m in (0, 3, 7, 12):
+            assert grid[m] == pytest.approx(average_amplitude(rt, [m])[0][0], abs=1e-12)
 
 
 class TestMixtureIdentity:
