@@ -153,7 +153,7 @@ def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[d
     else:
         add("amplitude_lower", "skip:delta_above_entropy")
     try:
-        seed = point_seed(cfg.seed, n, 0)
+        seed = point_seed(cfg.seed, cfg.n_grid.index(n), 0)  # simulate's (n, R_grid[0]) codebook
         codebook = sample_codebook(
             ch, n, cfg.r_grid[0], params.source_delta, seed,
             distinct=cfg.distinct_codewords, budgets=budgets,

@@ -18,10 +18,10 @@ side by side in one (dim_H, K) array.
 
 On H a run of no-steps, a product of factors (1 - W_l W_l^dagger), has the
 compact WY form of Schreiber & Van Loan (1989).  The plan splits its tests
-into runs of at most dim_H columns (a wider test is a run of its own) and
-keeps one amplitude map per run, built by forward substitution the first
-time it is needed (see RunFactor).  The Monte Carlo chains and build_povm
-both step through the runs with these shared factors.
+into runs of at most dim_H columns (a wider test is a run of its own), and
+build_plan builds one amplitude map per run by forward substitution (see
+RunFactor).  The Monte Carlo chains and build_povm both step through the
+runs with these factors.
 
 Given that every earlier test answered "no" and every typicality check
 passed, the state in front of test k depends only on the initial state, the
@@ -90,13 +90,6 @@ def product_output_state(ch: CQChannel, j_seq) -> np.ndarray:
     return state
 
 
-@dataclass(frozen=True)
-class PlanTest:
-    message: int
-    codeword: tuple[int, ...]
-    labels: tuple[int, ...] | None  # None for a subspace test
-
-
 class BornChain:
     """Cumulative outcome masses along one initial state's all-"no" path.
 
@@ -149,20 +142,17 @@ class RunFactor:
 
 
 class ChainMemo:
-    """The plan's cached state: Born chains keyed by (codeword, labels), run factors.
+    """The plan's cached Born chains, keyed by (codeword, labels).
 
     ``size`` counts stored numbers: dim_H per state plus one per cumulative
     mass.  It never passes ``limit``; past it, new states and deeper runs go
-    through the same chain code without being stored.  A run factor is
-    built the first time a chain or build_povm enters its run and kept for
-    the plan; all factors together are the size of the plan's columns.
+    through the same chain code without being stored.
     """
 
     def __init__(self, limit: int = DEFAULT_BUDGETS.work_limit):
         self.limit = limit
         self.size = 0
         self.chains: dict[tuple, BornChain] = {}
-        self.factors: dict[int, RunFactor] = {}
 
     def reserve(self, count: int) -> bool:
         if self.size + count > self.limit:
@@ -176,45 +166,21 @@ class DecoderPlan:
     channel: CQChannel
     model: TypicalModel
     codebook: Codebook
-    tests: tuple[PlanTest, ...]
+    messages: tuple[int, ...]  # the message test l decodes, schedule order
     columns: np.ndarray  # (dim_H, K) every test's masked components, schedule order
     offsets: np.ndarray  # test l owns columns offsets[l]:offsets[l + 1]
     runs: tuple[tuple[int, int], ...]  # WY runs of tests: _wy_runs(widths, dim_H)
+    factors: tuple[RunFactor, ...]  # each run's amplitude map: _wy_factor
     memo: ChainMemo = field(default_factory=ChainMemo, repr=False)
 
     @property
     def num_tests(self) -> int:
-        return len(self.tests)
+        return len(self.messages)
 
     def masked_state(self, j_seq, labels) -> np.ndarray:
         """Masked components of the product eigenvector |labels>_{j_seq}."""
         mats = [self.channel.coords[int(j)] for j in j_seq]
         return product_entries(mats, self.model.masked_digits, np.array([labels]))[:, 0]
-
-    def run_factor(self, run: int) -> RunFactor:
-        """The run's amplitude map, built on first use and kept for the plan.
-
-        The Monte Carlo chains and build_povm share it, so each run's factor
-        is built once per plan whichever of them reaches the run first.
-
-        (I + L_B) X = W_B^dagger is solved by forward substitution, a test's
-        rows at a time: rows l of X are W_l^dagger - (W_l^dagger W_<l) X_<l,
-        matrix-vector products for rank-one tests, so the run's k x k Gram
-        matrix is never formed.
-        """
-        factor = self.memo.factors.get(run)
-        if factor is None:
-            start, stop = self.runs[run]
-            w = self.columns[:, self.offsets[start]:self.offsets[stop]]
-            matrix = np.ascontiguousarray(w.conj().T)
-            bounds = (self.offsets[start:stop + 1] - self.offsets[start]).tolist()
-            for i, e in zip(bounds[1:-1], bounds[2:]):
-                matrix[i:e] -= (matrix[i:e] @ w[:, :i]) @ matrix[:i]
-            loss = None
-            if all(e - i == 1 for i, e in zip(bounds, bounds[1:])):  # all rank one
-                loss = np.maximum(1.0 - (w.real * w.real + w.imag * w.imag).sum(axis=0), 0.0)
-            factor = self.memo.factors[run] = RunFactor(matrix, loss, bounds, w)
-        return factor
 
     def born_chain(self, j_seq: tuple, labels: tuple) -> BornChain:
         """The memoised chain of |labels>_{j_seq}; stored while the memo has room."""
@@ -240,7 +206,7 @@ class DecoderPlan:
         unstored copy.
         """
         run = chain.run
-        factor = self.run_factor(run)
+        factor = self.factors[run]
         psi = chain.psi
         total, scale = chain.masses[-1], chain.survival
         # the first test's amplitudes first: when its no-branch is below the
@@ -310,6 +276,25 @@ def _outcome_masses(total: float, scale: float, decode, loss, end: float) -> tup
     return masses[1:i + 2].tolist(), True
 
 
+def _wy_factor(columns: np.ndarray, offsets: np.ndarray, start: int, stop: int) -> RunFactor:
+    """The amplitude map of the run of tests start..stop - 1.
+
+    (I + L_B) X = W_B^dagger is solved by forward substitution, a test's
+    rows at a time: rows l of X are W_l^dagger - (W_l^dagger W_<l) X_<l,
+    matrix-vector products for rank-one tests, so the run's k x k Gram
+    matrix is never formed.
+    """
+    w = columns[:, offsets[start]:offsets[stop]]
+    matrix = np.ascontiguousarray(w.conj().T)
+    bounds = (offsets[start:stop + 1] - offsets[start]).tolist()
+    for i, e in zip(bounds[1:-1], bounds[2:]):
+        matrix[i:e] -= (matrix[i:e] @ w[:, :i]) @ matrix[:i]
+    loss = None
+    if all(e - i == 1 for i, e in zip(bounds, bounds[1:])):  # all rank one
+        loss = np.maximum(1.0 - (w.real * w.real + w.imag * w.imag).sum(axis=0), 0.0)
+    return RunFactor(matrix, loss, bounds, w)
+
+
 def build_plan(
     codebook: Codebook,
     ch: CQChannel,
@@ -327,7 +312,8 @@ def build_plan(
     the end of the schedule, realizing the ordering the error bound assumes.
     One conditional_labels call gives every message's label sequences, and the
     work budget counts one block of columns per message, repeated codewords
-    included.
+    included.  The plan comes with every WY run's factor, which together are
+    the size of the columns.
     """
     if variant not in (RANK_ONE, SUBSPACE):
         raise ValidationError(f"unknown variant '{variant}'")
@@ -361,13 +347,10 @@ def build_plan(
         key = key * d + column
     labels = labels[np.argsort(key, kind="stable")]
     if variant == RANK_ONE:
-        tests = [PlanTest(message=messages[i], codeword=codebook.codewords[messages[i]],
-                          labels=tuple(r)) for i, r in zip(owner.tolist(), labels.tolist())]
-        widths = [1] * len(tests)
+        tested = np.repeat(messages, counts).tolist()
+        widths = [1] * len(tested)
     else:
-        tests = [PlanTest(message=s, codeword=codebook.codewords[s], labels=None)
-                 for s in messages]
-        widths = counts.tolist()
+        tested, widths = messages, counts.tolist()
     # the letters' coords side by side: letter j's column k is table column j*d + k,
     # so one product_entries call gives every test column, in schedule order
     table = np.concatenate(ch.coords, axis=1)
@@ -375,14 +358,16 @@ def build_plan(
     # computed as (K, dim_H), so the (dim_H, K) columns are Fortran-ordered
     columns = product_entries([table.T] * params.n, cols, model.masked_digits).T
     offsets = np.cumsum([0] + widths)
+    runs = tuple(_wy_runs(widths, dim_h))
     return DecoderPlan(
         channel=ch,
         model=model,
         codebook=codebook,
-        tests=tuple(tests),
+        messages=tuple(tested),
         columns=columns,
         offsets=offsets,
-        runs=tuple(_wy_runs(widths, dim_h)),
+        runs=runs,
+        factors=tuple(_wy_factor(columns, offsets, *run) for run in runs),
         memo=ChainMemo(budgets.work_limit),
     )
 
@@ -446,7 +431,7 @@ def simulate_trial(
     if i == len(masses):
         return Transcript(ABORT_EXHAUSTED, None, labels, plan.num_tests)
     if i % 2:
-        return Transcript(DECODED, plan.tests[i // 2].message, labels, (i + 1) // 2)
+        return Transcript(DECODED, plan.messages[i // 2], labels, (i + 1) // 2)
     return Transcript(ABORT_ATYPICAL, None, labels, (i + 1) // 2)
 
 
@@ -670,7 +655,7 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     amps = np.empty((offsets[-1], dim_h), dtype=complex)  # a_l = W_l^dagger c_l, stacked
     abort = np.zeros((dim_h, dim_h), dtype=complex)
     for run, (start, stop) in enumerate(plan.runs):
-        factor = plan.run_factor(run)
+        factor = plan.factors[run]
         a = np.matmul(factor.matrix, chain, out=amps[offsets[start]:offsets[stop]])
         if factor.loss is not None:  # rank-one tests
             abort += a.conj().T @ (factor.loss[:, None] * a)
@@ -726,7 +711,7 @@ def exact_error_probability(
     ix = povm.plan.model.masked_indices
     whole = ix.size == povm.dim
     n_msg = codebook.num_messages
-    owner = np.repeat(np.array([t.message for t in povm.plan.tests], dtype=int), povm.widths)
+    owner = np.repeat(np.array(povm.plan.messages, dtype=int), povm.widths)
     basis = povm.columns.T
     bconj = basis.conj()
     success = np.zeros(n_msg)

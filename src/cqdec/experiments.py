@@ -42,9 +42,7 @@ def point_seed(master_seed: int, n_index: int, r_index: int) -> int:
 
 
 def binomial_interval(errors: int, trials: int, z: float = 3.0) -> tuple[float, float]:
-    """Normal-approximation z-sigma interval for a binomial fraction."""
-    if trials == 0:
-        return (0.0, 1.0)
+    """Normal-approximation z-sigma interval for a binomial fraction of trials > 0."""
     p = errors / trials
     half = z * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return (max(0.0, p - half), min(1.0, p + half))

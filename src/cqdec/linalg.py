@@ -48,10 +48,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def spectral_decompose(a, tol: float = TOL_HERM) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.

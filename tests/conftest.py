@@ -175,6 +175,23 @@ def bruteforce_label_block(ch, word, delta_cond):
         -1, len(word))
 
 
+def schedule_label_blocks(plan, delta_cond, variant):
+    """A lexicographic plan's tests rebuilt from its codebook: a (codeword, labels) pair each.
+
+    Messages in order, each one's label sequences bruteforce_label_block's,
+    in lexicographic order: one (1, n) labels row per test for rank_one, one
+    (count, n) block per message for subspace.  Asserts that plan.messages
+    names the same message for every test.
+    """
+    tests = []
+    for s, word in enumerate(plan.codebook.codewords):
+        block = bruteforce_label_block(plan.channel, word, delta_cond)
+        tests += [(s, word, block)] if variant == "subspace" else [
+            (s, word, row[None]) for row in block]
+    assert [s for s, _, _ in tests] == list(plan.messages)
+    return [(word, labels) for _, word, labels in tests]
+
+
 def assert_block_labels_match_bruteforce(ch, words, delta_cond, budgets):
     """conditional_labels over a block of words equals the brute-force enumeration, row by row.
 

@@ -169,7 +169,7 @@ def test_criterion_05_chain_vs_povm():
     )
     exact_decode = np.zeros(cb.num_messages)
     for idx in range(plan.num_tests):
-        exact_decode[plan.tests[idx].message] += float(
+        exact_decode[plan.messages[idx]] += float(
             np.trace(elements[idx] @ rho).real
         )
     exact_abort = 1.0 - exact_decode.sum()

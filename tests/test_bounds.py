@@ -162,7 +162,7 @@ class TestCodebookAveragedAmplitude:
             codebook = sample_codebook(ch, n, rate, delta, seed)
             plan = build_plan(codebook, ch, params, ordering="worst_case", worst_index=0,
                               model=model)
-            assert plan.num_tests == codebook.num_messages and plan.tests[-1].message == 0
+            assert plan.num_tests == codebook.num_messages and plan.messages[-1] == 0
             w = plan.columns
             v = w[:, -1].copy()
             for l in range(plan.num_tests - 1):

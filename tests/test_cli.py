@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from cqdec import cli
+from cqdec import cli, experiments
 from cqdec.cli import main
 from cqdec.config import experiment_config_from_document, parse_kv_text
-from cqdec.errors import ConfigError
+from cqdec.errors import ConfigError, ResourceBudgetError, ValidationError
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -128,6 +128,48 @@ class TestVerify:
         out = tmp_path / "verify.csv"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         assert "skip:dim" in out.read_text()
+
+
+    @pytest.mark.parametrize("lines, skips", [
+        # the conditional label sets pass set_budget before rho_tilde is built
+        ("set_budget = 1", {"rho_tilde": "skip:set"}),
+        # dim_H = d^n = 8: the dense 64-entry mixture and POVM pass work_budget
+        ("channel = depolarized_pair\noverlap = 0.0\nnoise = 0.5\nwork_budget = 63",
+         {"mixture_identity": "skip:work", "povm": "skip:work"}),
+        # S(rho) is at most 1 bit for qubit letters
+        ("delta = 1.5", {"amplitude_lower": "skip:delta_above_entropy"}),
+    ])
+    def test_each_skip_row_is_reached_by_a_config(self, tmp_path, lines, skips):
+        replaced = {line.partition("=")[0].strip() for line in lines.splitlines()}
+        kept = [x for x in ("channel = pure_pair\noverlap = 0.5\nn_grid = [3]\n"
+                            "R_grid = [0.25]\ndelta = 0.3\nseed = 3").splitlines()
+                if x.partition("=")[0].strip() not in replaced]
+        out = tmp_path / "verify.csv"
+        cfg = write_config(tmp_path, "\n".join(kept + [lines]) + "\n")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["check"]: r["status"] for r in rows if r["status"].startswith("skip")} == skips
+
+    def test_povm_rows_check_the_codebook_simulate_decodes(self, tmp_path, monkeypatch):
+        # verify's POVM codebook is the one of simulate's (n, R_grid[0]) point;
+        # n_grid entries that differ from their grid indices tell the seeds apart
+        built = {cli: [], experiments: []}
+        for module, codebooks in built.items():
+            def spy(codebook, *args, _real=module.build_plan, _seen=codebooks, **kwargs):
+                _seen.append(codebook)
+                return _real(codebook, *args, **kwargs)
+            monkeypatch.setattr(module, "build_plan", spy)
+        cfg = write_config(
+            tmp_path,
+            "channel = pure_pair\noverlap = 0.5\nn_grid = [3, 5]\nR_grid = [0.25, 0.5]\n"
+            "delta = 0.3\nseed = 3\ntrials = 0\nexact = never\n",
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+        simulated = [cb for cb in built[experiments] if cb.rate == 0.25]
+        assert [cb.n for cb in built[cli]] == [3, 5]
+        assert built[cli] == simulated
 
 
 class TestVerifyExitRule:
@@ -275,6 +317,29 @@ class TestExitCodes:
 
     def test_missing_file(self):
         assert main(["simulate", "--config", "/nonexistent/x.cfg"]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("channel = file\nchannel_file = {tmp}/absent.cfg\n", "cannot read channel file"),
+        ("channel = bogus\n", "unknown builtin channel 'bogus'"),
+    ])
+    def test_unresolvable_channel_is_a_config_error(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, text.format(tmp=tmp_path))
+        assert main(["capacity", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, code", [
+        (ResourceBudgetError("past the work budget", reason="work"), 2),
+        (ValidationError("not a density matrix"), 3),
+    ])
+    def test_package_error_past_the_points_exits_2_or_3(self, tmp_path, monkeypatch, capsys,
+                                                         error, code):
+        # every budget and validation error of a point is caught into a skip
+        # row, so only a patched output_table reaches main's own handlers
+        def output_table(command, cfg, jobs):
+            raise error
+        monkeypatch.setattr(cli, "output_table", output_table)
+        assert main(["simulate", "--config", write_config(tmp_path, BASE_CONFIG)]) == code
+        assert str(error) in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, line", [
         ("verify", "delta = -0.1"),

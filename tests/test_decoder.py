@@ -33,6 +33,7 @@ from conftest import (
     embedded_povm,
     fixture_channels,
     mixture_deviation,
+    schedule_label_blocks,
     transcript_probability,
 )
 
@@ -55,16 +56,15 @@ def full_product_block(ch, word, labels):
     return product_entries(mats, digit_table(ch.letter_dim, len(word)), labels)
 
 
-def dense_chain_operator(plan, m):
-    """Oracle: P (1-P_m) P ... P (1-P_1) P as an explicit matrix product."""
+def dense_chain_operator(plan, params, m):
+    """Oracle: P (1-P_m) P ... P (1-P_1) P of a lexicographic rank-one plan, as a matrix product."""
     ch = plan.channel
     dim = plan.model.dim_total
     p_mat = np.diag(plan.model.mask.astype(complex))
     op = p_mat.copy()
     eye = np.eye(dim, dtype=complex)
-    for idx in range(m):
-        t = plan.tests[idx]
-        phi = full_coords(ch, t.codeword, t.labels)
+    for word, labels in schedule_label_blocks(plan, params.cond_delta, "rank_one")[:m]:
+        phi = full_coords(ch, word, labels[0])
         op = p_mat @ (eye - np.outer(phi, phi.conj())) @ op
     return op
 
@@ -82,8 +82,12 @@ class TestBuildPlan:
         ch = make_channel([1.0], [np.eye(2) / 2])
         cb = Codebook(n=2, rate=0.0, seed=0, delta_source=0.0, distinct=False, codewords=((0, 0),))
         plan = build_plan(cb, ch, TypicalityParams(n=2, delta=2.0, delta_cond=0.0))
-        assert [t.labels for t in plan.tests] == [(0, 1), (1, 0)]
+        tests = schedule_label_blocks(plan, 0.0, "rank_one")
+        assert [labels.tolist() for _, labels in tests] == [[[0, 1]], [[1, 0]]]
         assert plan.num_tests == 2
+        ref = product_entries([ch.coords[0]] * 2, plan.model.masked_digits,
+                              np.array([(0, 1), (1, 0)]))
+        assert plan.columns.tobytes(order="F") == ref.tobytes(order="F")
 
     def test_test_count_matches_conditional_sets(self):
         ch = builtin_channel("depolarized_pair", overlap=0.0, noise=0.5)
@@ -101,7 +105,7 @@ class TestBuildPlan:
         plan = build_plan(
             cb, ch, TypicalityParams(n=4, delta=0.3), ordering="worst_case", worst_index=0
         )
-        messages = [t.message for t in plan.tests]
+        messages = list(plan.messages)
         k = len([m for m in messages if m != 0])
         assert all(m != 0 for m in messages[:k])
         assert all(m == 0 for m in messages[k:])
@@ -192,7 +196,7 @@ class TestSimulateTrial:
             if tr.outcome == DECODED:
                 # the chain stops at its one yes: the last test run decodes
                 assert tr.tests_run >= 1
-                assert tr.decoded == plan.tests[tr.tests_run - 1].message
+                assert tr.decoded == plan.messages[tr.tests_run - 1]
             else:
                 assert tr.decoded is None
             if tr.outcome == ABORT_EXHAUSTED:
@@ -237,7 +241,8 @@ class TestAmplitudeChain:
         labels = (0,) * 4
         # the plan contains the test for (word, labels) itself; after passing
         # it with "no" the amplitude must vanish
-        own = next(i for i, t in enumerate(plan.tests) if t.codeword == word)
+        tests = schedule_label_blocks(plan, wide_params(4).cond_delta, "rank_one")
+        own = next(i for i, (w, _) in enumerate(tests) if w == word)
         amp = amplitude_chain(plan, ch, word, labels, own + 1)
         assert abs(amp) < 1e-12
 
@@ -250,7 +255,7 @@ class TestAmplitudeChain:
         labels = (0, 0, 0)
         psi = full_coords(ch, word, labels)
         for m in range(plan.num_tests + 1):
-            op = dense_chain_operator(plan, m)
+            op = dense_chain_operator(plan, params, m)
             expected = complex(psi.conj() @ op @ psi)
             got = amplitude_chain(plan, ch, word, labels, m)
             assert abs(got - expected) < 1e-10
@@ -377,7 +382,8 @@ class TestPOVM:
         povm = build_povm(plan)
         # oracle: E_1 = P P_1 P built directly
         p_mat = np.diag(plan.model.mask.astype(complex))
-        phi = full_coords(ch, plan.tests[0].codeword, plan.tests[0].labels)
+        (word, labels), = schedule_label_blocks(plan, params.cond_delta, "rank_one")
+        phi = full_coords(ch, word, labels[0])
         e1 = p_mat @ np.outer(phi, phi.conj()) @ p_mat
         blocks, abort = embedded_povm(povm)
         assert np.abs(blocks[0] @ blocks[0].conj().T - e1).max() < 1e-12
@@ -393,7 +399,7 @@ class TestPOVM:
 
     @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
     def test_completeness_sees_a_chain_whose_no_steps_are_dropped(self, variant):
-        # zero columns in the cached run factors, with their amplitude maps
+        # zero columns in the plan's run factors, with their amplitude maps
         # kept, make every "no" step c <- c - W a a no-op while the amplitudes
         # a = T^dagger W^dagger c still read the tests; the abort block is
         # built from the chain, so completeness must fail
@@ -401,11 +407,10 @@ class TestPOVM:
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=14)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.4), variant=variant)
         assert build_povm(plan).completeness_defect() <= 1e-12
-        factors = plan.memo.factors
-        assert len(factors) == len(plan.runs)
-        for run, factor in factors.items():
-            factors[run] = dataclasses.replace(factor, columns=np.zeros_like(factor.columns))
-        assert build_povm(plan).completeness_defect() > 0.1
+        assert len(plan.factors) == len(plan.runs)
+        dropped = dataclasses.replace(plan, factors=tuple(
+            dataclasses.replace(f, columns=np.zeros_like(f.columns)) for f in plan.factors))
+        assert build_povm(dropped).completeness_defect() > 0.1
 
     @pytest.mark.parametrize("name, params, n, rate, delta, delta_cond, variant", [
         # M = 512 rank-one tests against dim_H = 55: ten WY runs of several tests
@@ -428,12 +433,11 @@ class TestPOVM:
         assert_povm_matches_the_sequential_chain(build_povm(plan))
 
     @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
-    def test_povm_and_trials_do_not_depend_on_who_built_the_run_factors(self, variant):
+    def test_povm_and_trials_do_not_depend_on_which_runs_first(self, variant):
         # build_povm and the Monte Carlo chains share the plan's run factors:
-        # the POVM is the same bits whether trials built some of them first,
-        # and the trials draw the same transcripts after build_povm ran;
-        # here dim_H = 41 and 28 codewords make 29 rank-one or 28 subspace
-        # runs, and the trials reach the first three
+        # the POVM is the same bits whether trials ran first, and the trials
+        # draw the same transcripts after build_povm ran; here dim_H = 41 and
+        # 28 codewords make 29 rank-one or 28 subspace runs
         ch = builtin_channel("depolarized_pair", overlap=0.5, noise=0.3)
         cb = sample_codebook(ch, 6, 0.8, 0.3, seed=5)
         params = TypicalityParams(n=6, delta=0.3)
@@ -448,11 +452,8 @@ class TestPOVM:
         after_povm = trials(fresh)
         warm = build_plan(cb, ch, params, variant=variant)
         before_povm = trials(warm)
-        built = dict(warm.memo.factors)
-        assert len(warm.runs) > 1 and built
+        assert len(warm.runs) > 1
         povm_last = build_povm(warm)
-        assert all(warm.memo.factors[run] is factor for run, factor in built.items())
-        assert len(warm.memo.factors) == len(warm.runs)
         assert povm_first.columns.tobytes() == povm_last.columns.tobytes()
         assert povm_first.abort.tobytes() == povm_last.abort.tobytes()
         assert after_povm == before_povm

@@ -62,13 +62,13 @@ from conftest import (
     assert_block_labels_match_bruteforce,
     assert_povm_matches_the_sequential_chain,
     bruteforce_conditional_labels,
-    bruteforce_label_block,
     channel_cases,
     embedded_povm,
     fixture_channels,
     random_density,
     reference_codewords,
     scalar_run_masses,
+    schedule_label_blocks,
     sequential_masses,
     transcript_probability,
     typical_capture,
@@ -100,20 +100,18 @@ def plan_cases(draw, min_rank=1):
     params = TypicalityParams(n=n, delta=draw(st.sampled_from((0.2, 0.5, 2.0))),
                               delta_cond=draw(st.sampled_from((0.2, 0.5, 2.0))))
     variant = draw(st.sampled_from(("rank_one", "subspace")))
-    return build_plan(codebook, ch, params, variant=variant), params
+    return build_plan(codebook, ch, params, variant=variant), params, variant
 
 
-def dense_chain_elements(plan, params):
+def dense_chain_elements(plan, params, variant):
     """POVM elements from C_1 = P, C_(l+1) = P (1 - P_l) C_l on the full d^n space."""
     ch, model = plan.channel, plan.model
     digits = digit_table(ch.letter_dim, model.n)
     p = np.diag(model.mask.astype(complex))
     chain = p.copy()
     elements = []
-    for t in plan.tests:
-        labels = (np.array([t.labels]) if t.labels is not None
-                  else bruteforce_label_block(ch, t.codeword, params.cond_delta))
-        q = product_entries([ch.coords[j] for j in t.codeword], digits, labels)
+    for word, labels in schedule_label_blocks(plan, params.cond_delta, variant):
+        q = product_entries([ch.coords[j] for j in word], digits, labels)
         w = chain.conj().T @ q
         elements.append(w @ w.conj().T)
         chain = p @ (chain - q @ (q.conj().T @ chain))
@@ -158,9 +156,9 @@ def test_codebook_block_draw_matches_one_candidate_at_a_time(case, delta, rate, 
 @SETTINGS
 @given(plan_cases())
 def test_povm_on_h_matches_the_full_space_chain(case):
-    plan, params = case
+    plan, params, variant = case
     povm = build_povm(plan)
-    elements, abort = dense_chain_elements(plan, params)
+    elements, abort = dense_chain_elements(plan, params, variant)
     blocks, povm_abort = embedded_povm(povm)
     assert len(blocks) == len(elements)
     for w, e in zip(blocks, elements):
@@ -293,7 +291,7 @@ def test_checks_on_an_empty_window_match_the_embedded_povm():
 def einsum_masses(povm, ch, codebook):
     """Per-message (success, abort, misdecode) from the unoptimised three-operand einsum."""
     blocks = embedded_povm(povm)[0]
-    owner = np.repeat(np.array([t.message for t in povm.plan.tests], dtype=int),
+    owner = np.repeat(np.array(povm.plan.messages, dtype=int),
                       [b.shape[1] for b in blocks])
     basis = (np.concatenate(blocks, axis=1).T if blocks
              else np.zeros((0, povm.dim), complex))
@@ -374,7 +372,7 @@ def test_oracle_matches_the_born_chain_per_message(case):
     plan = case[0]
     ch, codebook = plan.channel, plan.codebook
     report = exact_error_probability(build_povm(plan), ch, codebook)
-    messages = np.array([t.message for t in plan.tests], dtype=int)
+    messages = np.array(plan.messages, dtype=int)
     for s, word in enumerate(codebook.codewords):
         per_test = np.zeros(plan.num_tests)
         spectra = [ch.letters[j].probs for j in word]
@@ -402,7 +400,7 @@ def reference_trial(plan, true_index, rng):
     for i, total in enumerate(sequential_masses(plan, word, labels)):
         if u < total:
             if i % 2:
-                return Transcript(DECODED, plan.tests[i // 2].message, labels, (i + 1) // 2)
+                return Transcript(DECODED, plan.messages[i // 2], labels, (i + 1) // 2)
             return Transcript(ABORT_ATYPICAL, None, labels, (i + 1) // 2)
     return Transcript(ABORT_EXHAUSTED, None, labels, plan.num_tests)
 
