@@ -145,6 +145,9 @@ def make_channel(priors, outputs) -> CQChannel:
 
     v_avg = avg_dec.eigenvectors
     coords = tuple(v_avg.conj().T @ sp.vectors for sp in letter_specs)
+    if not any(np.any(u.imag) for u in coords):
+        # real coordinates keep every array built from them real
+        coords = tuple(np.ascontiguousarray(u.real) for u in coords)
     classical = all(_coords_are_permutation(u) for u in coords)
 
     return CQChannel(

@@ -40,6 +40,11 @@ arrays: a (dim_H, r) block per element and the dim_H x dim_H abort block.
 verify's mixture identity
 is rebuilt from Kronecker products of per-(letter, class size) operators,
 one factor per letter class of a typical sequence.
+
+Every array here takes the dtype of the channel's coords: float64 for a
+real channel, complex128 otherwise (see make_channel).  For a real array
+conj() is the array itself, not a copy, so no array is conjugated in place
+unless it is a fresh one.
 """
 
 from __future__ import annotations
@@ -212,7 +217,7 @@ class DecoderPlan:
         # the first test's amplitudes first: when its no-branch is below the
         # floor the rest of the run is never needed
         first = factor.bounds[1]
-        a = np.empty(factor.matrix.shape[0], dtype=complex)
+        a = np.empty(factor.matrix.shape[0], dtype=factor.matrix.dtype)
         np.matmul(factor.matrix[:first], psi, out=a[:first])
         if 1.0 - np.vdot(a[:first], a[:first]).real < _NORM_FLOOR:
             return self._append(chain, [max(total + scale, 1.0)], True, None, 0.0)
@@ -285,7 +290,9 @@ def _wy_factor(columns: np.ndarray, offsets: np.ndarray, start: int, stop: int) 
     matrix is never formed.
     """
     w = columns[:, offsets[start]:offsets[stop]]
-    matrix = np.ascontiguousarray(w.conj().T)
+    # a ufunc writes a new array; for real columns w.conj() is w itself, and
+    # the substitution below would overwrite the plan's columns
+    matrix = np.conjugate(w.T, order="C")
     bounds = (offsets[start:stop + 1] - offsets[start]).tolist()
     for i, e in zip(bounds[1:-1], bounds[2:]):
         matrix[i:e] -= (matrix[i:e] @ w[:, :i]) @ matrix[:i]
@@ -481,7 +488,7 @@ def average_amplitude_powers(rho_tilde: MaskedHermitian, m_max: int) -> np.ndarr
             out[m] = running.sum()
         return out
     dense = rho_tilde.dense
-    x = np.eye(dense.shape[0], dtype=complex) - dense
+    x = np.eye(dense.shape[0], dtype=dense.dtype) - dense
     running = dense.copy()
     out[0] = float(np.trace(running).real)
     for m in range(1, m_max + 1):
@@ -534,10 +541,11 @@ def verify_mixture_identity(
             perms_by_type.setdefault(key, []).append(np.argsort(order))
     log_priors = np.log(ch.priors)
     factors: dict[tuple[int, int], np.ndarray] = {}
-    lhs = np.zeros((dim, dim), dtype=complex)
+    dtype = ch.coords[0].dtype
+    lhs = np.zeros((dim, dim), dtype=dtype)
     lhs_axes = lhs.reshape((d,) * (2 * n))
     for key, perms in perms_by_type.items():
-        kron = np.ones((1, 1), dtype=complex)
+        kron = np.ones((1, 1), dtype=dtype)
         for j, m in key:
             if (j, m) not in factors:
                 labels, probs = cache.block(j, m)
@@ -651,9 +659,10 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
             f"{dim_h}x{dim_h} POVM accumulation exceeds work budget", reason="work"
         )
     offsets = plan.offsets
-    chain = np.eye(dim_h, dtype=complex)  # C_1 = P
-    amps = np.empty((offsets[-1], dim_h), dtype=complex)  # a_l = W_l^dagger c_l, stacked
-    abort = np.zeros((dim_h, dim_h), dtype=complex)
+    dtype = plan.columns.dtype
+    chain = np.eye(dim_h, dtype=dtype)  # C_1 = P
+    amps = np.empty((offsets[-1], dim_h), dtype=dtype)  # a_l = W_l^dagger c_l, stacked
+    abort = np.zeros((dim_h, dim_h), dtype=dtype)
     for run, (start, stop) in enumerate(plan.runs):
         factor = plan.factors[run]
         a = np.matmul(factor.matrix, chain, out=amps[offsets[start]:offsets[stop]])

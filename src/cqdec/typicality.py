@@ -19,6 +19,10 @@ A sequence's conditional label window depends only on its type, so
 conditional_labels works on a block of sequences at type scale: one label
 table per type, scattered to all of the type's rows at once.  The decoder's
 plan and build_rho_tilde both read their labels through it.
+
+A dense rho_tilde takes the dtype of the channel's coords, real for a real
+channel; the diagonals of rho_bar and of a classical rho_tilde are real
+either way.
 """
 
 from __future__ import annotations
@@ -385,7 +389,7 @@ class MaskedHermitian:
     def as_dense(self) -> np.ndarray:
         if self.dense is not None:
             return self.dense
-        return np.diag(self.diag.astype(complex))
+        return np.diag(self.diag)
 
     def trace(self) -> float:
         if self.diag is not None:
@@ -438,7 +442,7 @@ def build_rho_tilde(
     # the letters' coords side by side: letter j's column k is table column j*d + k
     table = np.concatenate(ch.coords, axis=1)
     cols = labels + d * words
-    acc = np.zeros((dim_h, dim_h), dtype=complex)
+    acc = np.zeros((dim_h, dim_h), dtype=table.dtype)
     # a chunk keeps two (dim_H, chunk) arrays alive: in product_entries the
     # product and one factor, here the weighted block and the block, which is
     # conjugated in place; together they stay within work_limit
@@ -458,5 +462,5 @@ def subordination_gap(rho_tilde: MaskedHermitian, model: TypicalModel) -> float:
         return 0.0
     if rho_tilde.is_diagonal:
         return float((rho_tilde.diag - model.rho_bar_diag).max())
-    diff = rho_tilde.dense - np.diag(model.rho_bar_diag.astype(complex))
+    diff = rho_tilde.dense - np.diag(model.rho_bar_diag)
     return float(np.linalg.eigvalsh(diff).max())
