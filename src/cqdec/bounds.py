@@ -21,6 +21,7 @@ import numpy as np
 from .channel import CQChannel, holevo_chi
 from .decoder import average_amplitude_powers
 from .errors import ValidationError
+from .linalg import exp2
 from .typicality import MaskedHermitian, TypicalModel
 
 _SOFT_TOL = 1e-9
@@ -73,14 +74,14 @@ def trace_power_bound_log2(n: int, s_rho: float, delta: float, j: int) -> float:
 def check_trace_power_bounds(
     rho_tilde: MaskedHermitian, n: int, delta: float, s_rho: float, j_max: int = 6
 ) -> list[BoundCheck]:
-    """Tr rho_tilde^j against 2^(n [S (1-j) + delta (1+j)]) for j = 1..j_max."""
+    """Tr rho_tilde^j against 2^(n [S (1-j) + delta (1+j)]) for j = 1..j_max; inf past floats."""
     if j_max < 2:
         raise ValidationError("j_max must be >= 2")
     lam = rho_tilde.eigenvalues()
     checks = []
     for j in range(1, j_max + 1):
         lhs = float(np.sum(lam**j)) if lam.size else 0.0
-        rhs = 2.0 ** trace_power_bound_log2(n, s_rho, delta, j)
+        rhs = exp2(trace_power_bound_log2(n, s_rho, delta, j))
         checks.append(
             BoundCheck(name="trace_power", index=j, lhs=lhs, rhs=rhs, ok=lhs <= rhs + _SOFT_TOL)
         )

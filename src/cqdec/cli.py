@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import sys
 
@@ -205,9 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_experiment_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = load_experiment_config(args.config, args.seed)
         rows, columns = output_table(args.command, cfg, max(1, args.jobs))
         _emit_table(rows, columns, args.format, args.out)
         # only verify's check rows can fail; simulate and compare rows are ok or skipped

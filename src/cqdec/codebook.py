@@ -54,10 +54,12 @@ def sample_codebook(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> Codebook:
     """Draw ceil(2^(nR)) typical codewords, deterministically in ``seed``."""
-    target = codeword_count(n, rate)
-    if target > budgets.set_limit:
+    # in log2 space first, as 2^(nR) overflows a float from nR = 1024; one bit
+    # of margin leaves a count near the limit to codeword_count's snapping
+    if (n * rate > min(math.log2(budgets.set_limit) + 1, 1023)
+            or (target := codeword_count(n, rate)) > budgets.set_limit):
         raise ResourceBudgetError(
-            f"codebook of {target} codewords exceeds set budget {budgets.set_limit}",
+            f"codebook of 2^{n * rate:g} codewords exceeds set budget {budgets.set_limit}",
             reason="set",
         )
     available = typical_set_size(ch.priors, n, delta_source)

@@ -179,6 +179,8 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)
     if cfg.trials < 0:
         raise ConfigError("'trials' must be >= 0")
+    if cfg.seed < 0:
+        raise ConfigError("'seed' must be >= 0")
     if cfg.m_max < 0:
         raise ConfigError("'m_max' must be >= 0")
     for key, values in (("n_grid", cfg.n_grid), ("R_grid", cfg.r_grid), ("variants", cfg.variants)):
@@ -201,10 +203,14 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
+def load_experiment_config(path: str, seed: int | None = None) -> ExperimentConfig:
+    """The config at ``path``; a ``seed`` replaces its seed key before validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return experiment_config_from_document(parse_kv_text(text))
+    doc = parse_kv_text(text)
+    if seed is not None:
+        doc["seed"] = seed
+    return experiment_config_from_document(doc)

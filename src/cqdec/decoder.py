@@ -28,10 +28,13 @@ passed, the state in front of test k depends only on the initial state, the
 product eigenvector of (codeword, labels).  So the plan memoises each
 initial state's outcome masses (see BornChain): the cumulative masses of the
 opening abort and of a decode at each test and an abort after it, appended a
-run at a time from all of the run's amplitudes at once.  A trial reads one
-block of n + 1 uniforms: its labels from the first n, each through its
-letter's CDF as ``rng.choice`` would, and its outcome as the first
-cumulative mass above the last.
+run at a time from all of the run's amplitudes at once, in ``memo_slots``
+slots of a whole chain's worst-case size; a chain made when all are taken
+is not stored.  A trial reads one block of n + 1 uniforms: its labels from
+the first n, each through its letter's CDF as ``rng.choice`` would, and its
+outcome as the first cumulative mass above the last.  The plan is the whole
+decoder: trials and the exact oracle read the channel, model and codebook
+from it.
 
 The POVM's no-chain C_1 = P, C_(l+1) = P (1 - P_l) C_l also maps H into H, so
 every element C_l^dagger P_l C_l is supported on H and the abort element is
@@ -49,7 +52,6 @@ unless it is a fresh one.
 
 from __future__ import annotations
 
-import copy
 import math
 from array import array
 from bisect import bisect_right
@@ -104,25 +106,30 @@ class BornChain:
     uniform.  ``psi`` is the normalised state in front of run ``run`` and
     ``survival`` its absolute mass.  psi is None once the chain is complete:
     every test covered, or cut by a floor rule, which pins the last entry at
-    >= 1 so that no uniform lies past it.
+    >= 1 so that no uniform lies past it.  So a chain never holds more than
+    dim_H + 1 + 2 M numbers for M tests.
     """
 
-    __slots__ = ("masses", "psi", "survival", "run", "stored")
+    __slots__ = ("masses", "psi", "survival", "run")
 
     def __init__(self, psi: np.ndarray, has_tests: bool):
         self.survival = float(np.vdot(psi, psi).real)
         self.run = 0
-        self.stored = False
         if self.survival < _NORM_FLOOR:
             self.masses, self.psi = array("d", (1.0,)), None
         else:
             self.masses = array("d", (max(1.0 - self.survival, 0.0),))
             self.psi = psi / math.sqrt(self.survival) if has_tests else None
 
-    def unstored_copy(self) -> "BornChain":
-        twin = copy.copy(self)
-        twin.masses, twin.stored = array("d", self.masses), False
-        return twin
+    def append_run(self, values, complete: bool, after, end: float) -> None:
+        """Append a run's masses, and keep the state after it unless the chain is complete."""
+        self.masses.extend(values)
+        self.run += 1
+        if complete:
+            self.psi = None
+        else:
+            self.survival *= end
+            self.psi = after / math.sqrt(end)
 
 
 @dataclass(frozen=True)
@@ -135,35 +142,18 @@ class RunFactor:
     L_B the entries of the Gram matrix W_B^dagger W_B whose row test comes
     after the column test.  For a one-test run it is W^dagger.
     ``loss`` is 1 - ||w_l||^2 per test, the part of each test's column
-    outside H, when every test of the run has rank one, else None.  Test l
-    owns rows ``bounds[l]:bounds[l + 1]`` of ``matrix``, and ``columns`` is
-    W_B, a view of the plan's columns.
+    outside H, when every test of the run has rank one, else None.  The run
+    is tests ``start..stop - 1`` of the schedule; its test l owns rows
+    ``bounds[l]:bounds[l + 1]`` of ``matrix``, and ``columns`` is W_B, a
+    view of the plan's columns.
     """
 
     matrix: np.ndarray
     loss: np.ndarray | None
     bounds: list[int]
     columns: np.ndarray
-
-
-class ChainMemo:
-    """The plan's cached Born chains, keyed by (codeword, labels).
-
-    ``size`` counts stored numbers: dim_H per state plus one per cumulative
-    mass.  It never passes ``limit``; past it, new states and deeper runs go
-    through the same chain code without being stored.
-    """
-
-    def __init__(self, limit: int = DEFAULT_BUDGETS.work_limit):
-        self.limit = limit
-        self.size = 0
-        self.chains: dict[tuple, BornChain] = {}
-
-    def reserve(self, count: int) -> bool:
-        if self.size + count > self.limit:
-            return False
-        self.size += count
-        return True
+    start: int
+    stop: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +164,9 @@ class DecoderPlan:
     messages: tuple[int, ...]  # the message test l decodes, schedule order
     columns: np.ndarray  # (dim_H, K) every test's masked components, schedule order
     offsets: np.ndarray  # test l owns columns offsets[l]:offsets[l + 1]
-    runs: tuple[tuple[int, int], ...]  # WY runs of tests: _wy_runs(widths, dim_H)
-    factors: tuple[RunFactor, ...]  # each run's amplitude map: _wy_factor
-    memo: ChainMemo = field(default_factory=ChainMemo, repr=False)
+    factors: tuple[RunFactor, ...]  # each WY run's amplitude map, schedule order
+    memo_slots: int  # how many Born chains the memo may store
+    memo: dict[tuple, BornChain] = field(default_factory=dict, repr=False)
 
     @property
     def num_tests(self) -> int:
@@ -188,18 +178,17 @@ class DecoderPlan:
         return product_entries(mats, self.model.masked_digits, np.array([labels]))[:, 0]
 
     def born_chain(self, j_seq: tuple, labels: tuple) -> BornChain:
-        """The memoised chain of |labels>_{j_seq}; stored while the memo has room."""
+        """The memoised chain of |labels>_{j_seq}; stored while the memo has a free slot."""
         key = (j_seq, labels)
-        chain = self.memo.chains.get(key)
+        chain = self.memo.get(key)
         if chain is None:
-            chain = BornChain(self.masked_state(j_seq, labels), bool(self.runs))
-            if self.memo.reserve(1 + self.model.dim_H):
-                chain.stored = True
-                self.memo.chains[key] = chain
+            chain = BornChain(self.masked_state(j_seq, labels), bool(self.factors))
+            if len(self.memo) < self.memo_slots:
+                self.memo[key] = chain
         return chain
 
-    def advance_chain(self, chain: BornChain) -> BornChain:
-        """Append the outcome masses of the chain's next run; returns the chain that holds them.
+    def advance_chain(self, chain: BornChain) -> None:
+        """Append the outcome masses of the chain's next run.
 
         With a = T_B^dagger W_B^dagger psi, test l of the run decodes with
         mass ||a_l||^2 and aborts at the typicality check after it with
@@ -207,8 +196,7 @@ class DecoderPlan:
         test is the reverse cumulative sum of these from ||psi - W_B a||^2.
         Every run, rank-one or wider, then goes through _outcome_masses,
         which applies both floor rules; a rule that trips completes the
-        chain.  A stored chain the memo has no room for continues as an
-        unstored copy.
+        chain.
         """
         run = chain.run
         factor = self.factors[run]
@@ -220,7 +208,8 @@ class DecoderPlan:
         a = np.empty(factor.matrix.shape[0], dtype=factor.matrix.dtype)
         np.matmul(factor.matrix[:first], psi, out=a[:first])
         if 1.0 - np.vdot(a[:first], a[:first]).real < _NORM_FLOOR:
-            return self._append(chain, [max(total + scale, 1.0)], True, None, 0.0)
+            chain.append_run([max(total + scale, 1.0)], True, None, 0.0)
+            return
         np.matmul(factor.matrix[first:], psi, out=a[first:])
         sq = a.real * a.real + a.imag * a.imag
         if factor.loss is not None:  # rank-one tests, up to dim_H of them
@@ -234,20 +223,7 @@ class DecoderPlan:
             loss = np.maximum(decode - [np.vdot(p, p).real for p in parts], 0.0)
         end = float(np.vdot(after, after).real)
         values, cut = _outcome_masses(total, scale, decode, loss, end)
-        return self._append(chain, values, cut or run + 1 == len(self.runs), after, end)
-
-    def _append(self, chain: BornChain, values, complete: bool, after, end: float) -> BornChain:
-        """Store a run's masses, and the state after it unless the chain is complete."""
-        if chain.stored and not self.memo.reserve(len(values)):
-            chain = chain.unstored_copy()
-        chain.masses.extend(values)
-        chain.run += 1
-        if complete:
-            chain.psi = None
-        else:
-            chain.survival *= end
-            chain.psi = after / math.sqrt(end)
-        return chain
+        chain.append_run(values, cut or run + 1 == len(self.factors), after, end)
 
 
 def _outcome_masses(total: float, scale: float, decode, loss, end: float) -> tuple[list, bool]:
@@ -299,7 +275,7 @@ def _wy_factor(columns: np.ndarray, offsets: np.ndarray, start: int, stop: int) 
     loss = None
     if all(e - i == 1 for i, e in zip(bounds, bounds[1:])):  # all rank one
         loss = np.maximum(1.0 - (w.real * w.real + w.imag * w.imag).sum(axis=0), 0.0)
-    return RunFactor(matrix, loss, bounds, w)
+    return RunFactor(matrix, loss, bounds, w, start, stop)
 
 
 def build_plan(
@@ -308,27 +284,24 @@ def build_plan(
     params: TypicalityParams,
     ordering: str = "lexicographic",
     variant: str = RANK_ONE,
-    worst_index: int | None = None,
     model: TypicalModel | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> DecoderPlan:
     """Ordered test schedule over the codebook's conditional typical outputs.
 
     ``lexicographic`` runs messages in order, each message's label sequences in
-    lexicographic order.  ``worst_case`` moves every test of ``worst_index`` to
-    the end of the schedule, realizing the ordering the error bound assumes.
+    lexicographic order.  ``worst_case`` moves every test of message 0 to the
+    end of the schedule, realizing the ordering the error bound assumes.
     One conditional_labels call gives every message's label sequences, and the
     work budget counts one block of columns per message, repeated codewords
     included.  The plan comes with every WY run's factor, which together are
-    the size of the columns.
+    the size of the columns, and fixes its memo's slots: the work budget
+    over a chain's worst-case size (see BornChain).
     """
     if variant not in (RANK_ONE, SUBSPACE):
         raise ValidationError(f"unknown variant '{variant}'")
     if ordering not in ("lexicographic", "worst_case"):
         raise ValidationError(f"unknown ordering '{ordering}'")
-    if ordering == "worst_case":
-        if worst_index is None or not 0 <= worst_index < codebook.num_messages:
-            raise ValidationError("worst_case ordering needs a valid worst_index")
     if codebook.n != params.n:
         raise ValidationError(f"codebook n={codebook.n} but params n={params.n}")
     if model is None:
@@ -336,8 +309,7 @@ def build_plan(
 
     messages = list(range(codebook.num_messages))
     if ordering == "worst_case":
-        messages.remove(worst_index)
-        messages.append(worst_index)
+        messages = messages[1:] + messages[:1]
     words = np.array([codebook.codewords[s] for s in messages], dtype=int).reshape(-1, params.n)
     labels, _, counts = conditional_labels(ch, words, params.cond_delta, budgets)
     dim_h = model.dim_H
@@ -365,7 +337,6 @@ def build_plan(
     # computed as (K, dim_H), so the (dim_H, K) columns are Fortran-ordered
     columns = product_entries([table.T] * params.n, cols, model.masked_digits).T
     offsets = np.cumsum([0] + widths)
-    runs = tuple(_wy_runs(widths, dim_h))
     return DecoderPlan(
         channel=ch,
         model=model,
@@ -373,9 +344,8 @@ def build_plan(
         messages=tuple(tested),
         columns=columns,
         offsets=offsets,
-        runs=runs,
-        factors=tuple(_wy_factor(columns, offsets, *run) for run in runs),
-        memo=ChainMemo(budgets.work_limit),
+        factors=tuple(_wy_factor(columns, offsets, *run) for run in _wy_runs(widths, dim_h)),
+        memo_slots=budgets.work_limit // (dim_h + 1 + 2 * len(tested)),
     )
 
 
@@ -403,37 +373,25 @@ def sample_output_labels(ch: CQChannel, j_seq, uniforms) -> tuple[int, ...]:
     return tuple(map(bisect_right, [cdfs[j] for j in j_seq], uniforms))
 
 
-def simulate_trial(
-    plan: DecoderPlan,
-    ch: CQChannel,
-    true_index: int,
-    params: TypicalityParams | None = None,
-    rng: np.random.Generator | None = None,
-) -> Transcript:
-    """Run one Born-rule measurement chain for the sent message ``true_index``.
+def simulate_trial(plan: DecoderPlan, true_index: int, rng: np.random.Generator) -> Transcript:
+    """Run one Born-rule measurement chain of ``plan`` for the sent message ``true_index``.
 
-    One block of n + 1 uniforms drives the trial.  The first n sample the
-    channel output eigenlabels exactly from the per-letter spectral weights
-    (see sample_output_labels); the last picks the outcome from the
-    cumulative masses of the plan's memoised chain of the initial state
-    (see BornChain): the first entry above it.  The chain is advanced a WY
-    run at a time, only while that uniform lies past its current depth.
+    One block of n + 1 uniforms from ``rng`` drives the trial.  The first n
+    sample the channel output eigenlabels exactly from the per-letter
+    spectral weights of plan.channel (see sample_output_labels); the last
+    picks the outcome from the cumulative masses of the plan's memoised
+    chain of the initial state (see BornChain): the first entry above it.
+    The chain is advanced a WY run at a time, only while that uniform lies
+    past its current depth.
     """
-    if ch is not plan.channel:
-        raise ValidationError("ch is not the channel the plan was built for")
-    if rng is None:
-        rng = np.random.default_rng()
-    if params is not None and params.n != plan.model.n:
-        raise ValidationError("params.n does not match the plan")
     word = plan.codebook.codewords[true_index]
     *uniforms, u = rng.random(len(word) + 1).tolist()
-    labels = sample_output_labels(ch, word, uniforms)
+    labels = sample_output_labels(plan.channel, word, uniforms)
     chain = plan.born_chain(word, labels)
-    masses = chain.masses
+    masses = chain.masses  # extended in place as the chain advances
     i = bisect_right(masses, u)
     while i == len(masses) and chain.psi is not None:
-        chain = plan.advance_chain(chain)
-        masses = chain.masses
+        plan.advance_chain(chain)
         i = bisect_right(masses, u, i)
     if i == len(masses):
         return Transcript(ABORT_EXHAUSTED, None, labels, plan.num_tests)
@@ -513,10 +471,9 @@ def verify_mixture_identity(
     product of the d^m x d^m operators A_(j,m) = sum_block p |u><u|, with the
     tensor axes permuted to the class positions.  Each A_(j,m) is built once,
     each type's Kronecker product once per type (one at a time), and every
-    sequence adds its permutation of it with weight p_seq.  Rows and columns
-    outside H are then zeroed, and the result is compared with ``rho_tilde``,
-    build_rho_tilde's masked result for ``model``, embedded at the typical
-    indices.
+    sequence adds its permutation of it with weight p_seq.  The result's
+    block at the typical rows and columns is then compared with
+    ``rho_tilde``, build_rho_tilde's masked result for ``model``.
     """
     n, d = params.n, ch.letter_dim
     dim = model.dim_total
@@ -556,12 +513,10 @@ def verify_mixture_identity(
         kron = (p_seq * kron).reshape((d,) * (2 * n))
         for perm in perms:
             lhs_axes += kron.transpose(*perm, *(perm + n))
-    outside = ~model.mask
-    lhs[outside] = 0.0
-    lhs[:, outside] = 0.0
     ix = model.masked_indices
-    lhs[np.ix_(ix, ix)] -= rho_tilde.as_dense()
-    return float(np.abs(lhs).max())
+    deviation = lhs[np.ix_(ix, ix)]
+    deviation -= rho_tilde.as_dense()
+    return float(np.abs(deviation).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -663,9 +618,8 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     chain = np.eye(dim_h, dtype=dtype)  # C_1 = P
     amps = np.empty((offsets[-1], dim_h), dtype=dtype)  # a_l = W_l^dagger c_l, stacked
     abort = np.zeros((dim_h, dim_h), dtype=dtype)
-    for run, (start, stop) in enumerate(plan.runs):
-        factor = plan.factors[run]
-        a = np.matmul(factor.matrix, chain, out=amps[offsets[start]:offsets[stop]])
+    for factor in plan.factors:
+        a = np.matmul(factor.matrix, chain, out=amps[offsets[factor.start]:offsets[factor.stop]])
         if factor.loss is not None:  # rank-one tests
             abort += a.conj().T @ (factor.loss[:, None] * a)
             chain -= factor.columns @ a
@@ -701,24 +655,17 @@ def check_oracle_budget(dim: int, budgets: Budgets = DEFAULT_BUDGETS) -> None:
         )
 
 
-def exact_error_probability(
-    povm: POVMSet, ch: CQChannel, codebook: Codebook, budgets: Budgets = DEFAULT_BUDGETS
-) -> ErrorReport:
-    """Average error probability of the POVM on the exact product outputs.
+def exact_error_probability(povm: POVMSet, budgets: Budgets = DEFAULT_BUDGETS) -> ErrorReport:
+    """Average error probability of the POVM on the exact outputs of its plan's codebook.
 
     Every element column b lives on H, so its mass <b|rho_s|b> only reads
-    rho_s[H, H]: the dense kron output indexed at the typical rows and
-    columns, or the kron output itself when H is the whole space.  The
-    masses of all K columns come from one (K, dim_H) @ (dim_H, dim_H)
-    product per message.
+    rho_s[H, H]: the dense kron output of plan.channel indexed at the
+    typical rows and columns.  The masses of all K columns come from one
+    (K, dim_H) @ (dim_H, dim_H) product per message.
     """
-    if ch is not povm.plan.channel:
-        raise ValidationError("ch is not the channel the POVM was built for")
-    if povm.plan.codebook != codebook:
-        raise ValidationError("POVM was built for a different codebook")
     check_oracle_budget(povm.dim, budgets)
+    ch, codebook = povm.plan.channel, povm.plan.codebook
     ix = povm.plan.model.masked_indices
-    whole = ix.size == povm.dim
     n_msg = codebook.num_messages
     owner = np.repeat(np.array(povm.plan.messages, dtype=int), povm.widths)
     basis = povm.columns.T
@@ -727,9 +674,7 @@ def exact_error_probability(
     misdecode = np.zeros(n_msg)
     abort = np.zeros(n_msg)
     for s in range(n_msg):
-        rho = product_output_state(ch, codebook.codewords[s])
-        if not whole:
-            rho = rho[np.ix_(ix, ix)]
+        rho = product_output_state(ch, codebook.codewords[s])[np.ix_(ix, ix)]
         vals = np.einsum("ik,ik->i", bconj @ rho, basis).real
         mine = float(vals[owner == s].sum())
         everything = float(vals.sum())

@@ -127,9 +127,8 @@ def run_point(
                 ci_high=err,
                 exact_err=err,
             )
-        plan = build_plan(codebook, ch, params, ordering=cfg.ordering,
-                          worst_index=0 if cfg.ordering == "worst_case" else None,
-                          variant=variant, budgets=budgets)
+        plan = build_plan(codebook, ch, params, ordering=cfg.ordering, variant=variant,
+                          budgets=budgets)
         dim = ch.letter_dim**n
         want_exact = cfg.exact == "always" or (
             cfg.exact == "auto" and dim <= _EXACT_AUTO_DIM and plan.num_tests <= _EXACT_AUTO_TESTS
@@ -140,7 +139,7 @@ def run_point(
         trials = cfg.trials
         errors = aborts = wrong = 0
         for s in rng.integers(codebook.num_messages, size=trials).tolist():
-            tr = simulate_trial(plan, ch, s, params, rng)
+            tr = simulate_trial(plan, s, rng)
             if tr.outcome != DECODED:
                 errors += 1
                 aborts += 1
@@ -152,7 +151,7 @@ def run_point(
         exact_err = exact_abort = exact_mis = None
         if want_exact:
             povm = build_povm(plan, budgets=budgets)
-            report = exact_error_probability(povm, ch, codebook, budgets)
+            report = exact_error_probability(povm, budgets)
             exact_err = report.p_err
             exact_abort = report.abort_mass
             exact_mis = report.misdecode_mass

@@ -10,6 +10,7 @@ Entropies are in bits (base-2 logs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,14 @@ from .errors import ValidationError
 TOL_HERM = 1e-10
 TOL_EIG = 1e-10
 TOL_TRACE = 1e-9
+
+
+def exp2(x: float) -> float:
+    """2.0 ** x, and inf past the float range."""
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
 
 
 def as_complex_matrix(a) -> np.ndarray:

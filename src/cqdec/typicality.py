@@ -35,7 +35,7 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
 from .errors import ResourceBudgetError, ValidationError
-from .linalg import digit_table, product_entries
+from .linalg import digit_table, exp2, product_entries
 
 _WINDOW_WIDEN = 1e-9
 _FREQ_WIDEN = 1e-12
@@ -294,14 +294,13 @@ def conditional_labels(
 
 @dataclass(frozen=True)
 class TypicalModel:
-    """Typical-subspace mask and the diagonal of rho_bar, in the product eigenbasis."""
+    """Typical subspace H (product eigenvectors at masked_indices) and rho_bar's diagonal on it."""
 
     n: int
     letter_dim: int
     delta: float
     epsilon_target: float
     s_rho: float
-    mask: np.ndarray  # bool over all d^n product eigenvectors
     masked_indices: np.ndarray
     masked_digits: np.ndarray  # (dim_H, n) eigenlabel digits of the kept basis vectors
     rho_bar_diag: np.ndarray
@@ -321,13 +320,13 @@ class TypicalModel:
 
     @property
     def eigenvalue_cap(self) -> float:
-        """2^(-n(S-delta)): the bound every eigenvalue of rho_bar must satisfy."""
-        return 2.0 ** (-self.n * (self.s_rho - self.delta))
+        """2^(-n(S-delta)): the bound every eigenvalue of rho_bar must satisfy; inf past floats."""
+        return exp2(-self.n * (self.s_rho - self.delta))
 
     @property
     def dim_cap(self) -> float:
-        """2^(n(S+delta)): the bound on dim(H)."""
-        return 2.0 ** (self.n * (self.s_rho + self.delta))
+        """2^(n(S+delta)): the bound on dim(H); inf past the float range."""
+        return exp2(self.n * (self.s_rho + self.delta))
 
 
 def build_typical_model(
@@ -355,7 +354,6 @@ def build_typical_model(
         delta=params.delta,
         epsilon_target=params.epsilon_target,
         s_rho=s_rho,
-        mask=mask,
         masked_indices=masked_indices,
         masked_digits=digits[mask],
         rho_bar_diag=products[mask],

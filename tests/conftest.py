@@ -291,6 +291,13 @@ def channel_cases(draw, min_rank=1):
     return make_channel(priors, [random_density(rng, d, r) for r in ranks]), n
 
 
+def typical_mask(model):
+    """The typical subspace H as a boolean mask over all d^n product eigenvectors."""
+    mask = np.zeros(model.dim_total, dtype=bool)
+    mask[model.masked_indices] = True
+    return mask
+
+
 def element_blocks(columns, offsets):
     """Each test's (dim_H, r) block, r = 1 for a rank-one test: views of ``columns``.
 
@@ -456,7 +463,7 @@ def transcript_probability(plan, ch, j_seq, labels, test_index):
     chain = plan.born_chain(tuple(int(j) for j in j_seq), tuple(int(k) for k in labels))
     at = 2 * test_index + 1
     while len(chain.masses) <= at and chain.psi is not None:
-        chain = plan.advance_chain(chain)
+        plan.advance_chain(chain)
     if len(chain.masses) <= at:
         return 0.0
     return chain.masses[at] - chain.masses[at - 1]

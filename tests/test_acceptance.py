@@ -177,7 +177,7 @@ def test_criterion_05_chain_vs_povm():
     rng = np.random.default_rng(20240811)
     counts = np.zeros(cb.num_messages + 1)
     for _ in range(trials):
-        tr = simulate_trial(plan, ch, true_index, rng=rng)
+        tr = simulate_trial(plan, true_index, rng=rng)
         if tr.outcome == DECODED:
             counts[tr.decoded] += 1
         else:
@@ -248,13 +248,13 @@ def test_criterion_08_zero_error_classical_limit():
     params = TypicalityParams(n=n, delta=0.5, delta_source=2.0, delta_cond=2.0)
     cb = sample_codebook(ch, n, rate, params.source_delta, seed=35, distinct=True)
     plan = build_plan(cb, ch, params)
-    report = exact_error_probability(build_povm(plan), ch, cb)
+    report = exact_error_probability(build_povm(plan))
     assert report.p_err <= 1e-12
     rng = np.random.default_rng(20240812)
     errors = 0
     for _ in range(10_000):
         s = int(rng.integers(cb.num_messages))
-        tr = simulate_trial(plan, ch, s, rng=rng)
+        tr = simulate_trial(plan, s, rng=rng)
         errors += tr.outcome != DECODED or tr.decoded != s
     assert errors == 0
     assert record(8, "zero-error classical limit", True)
@@ -275,7 +275,7 @@ def test_criterion_09_capacity_trend():
             errors = aborts = 0
             for _ in range(trials):
                 s = int(rng.integers(cb.num_messages))
-                tr = simulate_trial(plan, ch, s, rng=rng)
+                tr = simulate_trial(plan, s, rng=rng)
                 errors += tr.outcome != DECODED or tr.decoded != s
                 aborts += tr.outcome == ABORT_ATYPICAL and tr.tests_run == 0
             err[(rate, n)] = errors / trials
@@ -320,13 +320,13 @@ def test_criterion_10_monte_carlo_vs_exact():
     n, rate, delta = 4, 0.25, 0.3
     cb = sample_codebook(ch, n, rate, delta, seed=11)
     plan = build_plan(cb, ch, TypicalityParams(n=n, delta=delta))
-    report = exact_error_probability(build_povm(plan), ch, cb)
+    report = exact_error_probability(build_povm(plan))
     trials = 10_000
     rng = np.random.default_rng(20240813)
     errors = 0
     for _ in range(trials):
         s = int(rng.integers(cb.num_messages))
-        tr = simulate_trial(plan, ch, s, rng=rng)
+        tr = simulate_trial(plan, s, rng=rng)
         errors += tr.outcome != DECODED or tr.decoded != s
     p_hat = errors / trials
     sigma = math.sqrt(report.p_err * (1 - report.p_err) / trials)

@@ -160,8 +160,7 @@ class TestCodebookAveragedAmplitude:
         amplitudes = []
         for seed in self.SEEDS:
             codebook = sample_codebook(ch, n, rate, delta, seed)
-            plan = build_plan(codebook, ch, params, ordering="worst_case", worst_index=0,
-                              model=model)
+            plan = build_plan(codebook, ch, params, ordering="worst_case", model=model)
             assert plan.num_tests == codebook.num_messages and plan.messages[-1] == 0
             w = plan.columns
             v = w[:, -1].copy()

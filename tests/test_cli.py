@@ -172,6 +172,20 @@ class TestVerify:
         assert built[cli] == simulated
 
 
+def test_verify_caps_past_the_float_range_are_inf(tmp_path):
+    # at n = 4, delta = 300 the eigenvalue cap 2^(-n(S-delta)), the dimension
+    # cap 2^(n(S+delta)) and every trace-power bound are past the float range
+    cfg = write_config(tmp_path, "channel = pure_pair\noverlap = 0.5\nn_grid = [4]\n"
+                                 "R_grid = [0.3]\ndelta = 300\n")
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    capped = [r for r in rows if r["check"] in ("eigv_rho_bar", "typc_dim", "eigv_rho_tilde",
+                                                 "trace_power")]
+    assert len(capped) == 9
+    assert all(r["rhs"] == "inf" and r["status"] == "pass" for r in capped)
+
+
 class TestVerifyExitRule:
     # n = 3 captures less than 1 - epsilon_target; n = 8 is over the dim budget
     CONFIG = ("channel = pure_pair\noverlap = 0.5\nn_grid = [3, 8]\nR_grid = [0.25]\n"
@@ -245,6 +259,18 @@ class TestSimulate:
         cols = dict(zip(CSV_HEADER, row.split(",")))
         assert cols["status"] == "skipped"
         assert cols["reason"] != ""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_codebook_past_the_float_range_is_skipped_for_set(self, tmp_path, command):
+        # 2^(nR) at nR = 1100 is past the float range: every variant's row
+        # is a set skip, not an OverflowError
+        cfg = write_config(tmp_path, "channel = pure_pair\noverlap = 0.5\nn_grid = [1100]\n"
+                                     "R_grid = [1.0]\ntrials = 10\n")
+        out = tmp_path / "big.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == (3 if command == "compare" else 1)
+        assert all((r["status"], r["reason"]) == ("skipped", "set") for r in rows)
 
     def test_reason_with_a_comma_reads_back_as_one_field(self, tmp_path):
         cfg = write_config(
@@ -413,6 +439,19 @@ class TestExitCodes:
         chan.write_text(document + "\n")
         cfg = write_config(tmp_path, f"channel = file\nchannel_file = {chan}\n")
         assert main(["capacity", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("command", ["capacity", "verify", "simulate", "compare"])
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, where):
+        # the --seed flag replaces the file's key before validation, so one
+        # rule covers both
+        if where == "file":
+            cfg = write_config(tmp_path, BASE_CONFIG.replace("seed = 7", "seed = -1"))
+            argv = [command, "--config", cfg]
+        else:
+            argv = [command, "--config", write_config(tmp_path, BASE_CONFIG), "--seed", "-1"]
+        assert main(argv) == 1
+        assert "config error: 'seed' must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("env, value", [
         ("CQDEC_DIM_BUDGET", "abc"),

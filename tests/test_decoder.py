@@ -35,6 +35,7 @@ from conftest import (
     mixture_deviation,
     schedule_label_blocks,
     transcript_probability,
+    typical_mask,
 )
 
 COS45 = math.cos(math.pi / 4)
@@ -60,7 +61,7 @@ def dense_chain_operator(plan, params, m):
     """Oracle: P (1-P_m) P ... P (1-P_1) P of a lexicographic rank-one plan, as a matrix product."""
     ch = plan.channel
     dim = plan.model.dim_total
-    p_mat = np.diag(plan.model.mask.astype(complex))
+    p_mat = np.diag(typical_mask(plan.model).astype(complex))
     op = p_mat.copy()
     eye = np.eye(dim, dtype=complex)
     for word, labels in schedule_label_blocks(plan, params.cond_delta, "rank_one")[:m]:
@@ -102,9 +103,7 @@ class TestBuildPlan:
     def test_worst_case_ordering(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=4)
-        plan = build_plan(
-            cb, ch, TypicalityParams(n=4, delta=0.3), ordering="worst_case", worst_index=0
-        )
+        plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3), ordering="worst_case")
         messages = list(plan.messages)
         k = len([m for m in messages if m != 0])
         assert all(m != 0 for m in messages[:k])
@@ -118,11 +117,10 @@ class TestBuildPlan:
         params = TypicalityParams(n=5, delta=0.3)
         for name, ch in fixture_channels().items():
             cb = sample_codebook(ch, 5, 0.6, 0.3, seed=8)
-            plan = build_plan(cb, ch, params, ordering=ordering, variant=variant,
-                              worst_index=1 if ordering == "worst_case" else None)
+            plan = build_plan(cb, ch, params, ordering=ordering, variant=variant)
             messages = list(range(cb.num_messages))
             if ordering == "worst_case":
-                messages = messages[:1] + messages[2:] + messages[1:2]
+                messages = messages[1:] + messages[:1]
             blocks = []
             for s in messages:
                 word = cb.codewords[s]
@@ -147,6 +145,39 @@ class TestBuildPlan:
         assert plan.model.dim_H == 6
         assert plan.columns.size == 258
 
+    @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
+    def test_run_factors_tile_the_schedule(self, variant):
+        # each run factor names its tests start..stop - 1; the runs follow one
+        # another over the whole schedule, and a factor's columns are the
+        # plan's columns of its tests
+        ch = builtin_channel("depolarized_pair", overlap=0.5, noise=0.3)
+        cb = sample_codebook(ch, 6, 0.8, 0.3, seed=5)
+        plan = build_plan(cb, ch, TypicalityParams(n=6, delta=0.3), variant=variant)
+        assert len(plan.factors) > 1
+        assert plan.factors[0].start == 0 and plan.factors[-1].stop == plan.num_tests
+        for f, g in zip(plan.factors, plan.factors[1:]):
+            assert f.start < f.stop == g.start
+        for f in plan.factors:
+            cols = plan.columns[:, plan.offsets[f.start]:plan.offsets[f.stop]]
+            assert f.columns.tobytes() == cols.tobytes()
+            assert f.matrix.shape == cols.T.shape
+
+    def test_memo_slots_hold_whole_chains_within_the_work_budget(self, rng):
+        # a slot is a whole chain's worst case: dim_H numbers of state plus
+        # the opening abort and two masses per test
+        ch = builtin_channel("pure_pair", overlap=COS45)
+        cb = sample_codebook(ch, 6, 0.9, 0.2, seed=7)
+        params = TypicalityParams(n=6, delta=0.2)
+        budgets = Budgets(work_limit=1000)
+        plan = build_plan(cb, ch, params, budgets=budgets)
+        slot = plan.model.dim_H + 1 + 2 * plan.num_tests
+        assert plan.memo_slots == budgets.work_limit // slot == 10
+        for _ in range(400):
+            simulate_trial(plan, int(rng.integers(cb.num_messages)), rng)
+        assert len(plan.memo) == plan.memo_slots
+        assert all(plan.model.dim_H + len(c.masses) <= slot for c in plan.memo.values())
+        assert build_plan(cb, ch, params).memo_slots == Budgets().work_limit // slot
+
     def test_bad_arguments(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=2)
@@ -154,7 +185,7 @@ class TestBuildPlan:
         with pytest.raises(ValidationError):
             build_plan(cb, ch, params, variant="bogus")
         with pytest.raises(ValidationError):
-            build_plan(cb, ch, params, ordering="worst_case")  # missing index
+            build_plan(cb, ch, params, ordering="bogus")
         with pytest.raises(ValidationError):
             build_plan(cb, ch, TypicalityParams(n=5, delta=0.3))  # n mismatch
 
@@ -166,7 +197,7 @@ class TestSimulateTrial:
         plan = build_plan(cb, ch, wide_params(5))
         for s in range(cb.num_messages):
             for _ in range(20):
-                tr = simulate_trial(plan, ch, s, rng=rng)
+                tr = simulate_trial(plan, s, rng=rng)
                 assert tr.outcome == DECODED and tr.decoded == s
 
     def test_zero_test_plan_always_exhausts(self, rng):
@@ -175,7 +206,7 @@ class TestSimulateTrial:
         cb = Codebook(n=3, rate=0.0, seed=0, delta_source=2.0, distinct=False, codewords=((0, 0, 0),))
         plan = build_plan(cb, ch, TypicalityParams(n=3, delta=2.0, delta_cond=0.0))
         assert plan.num_tests == 0
-        tr = simulate_trial(plan, ch, 0, rng=rng)
+        tr = simulate_trial(plan, 0, rng=rng)
         assert tr.outcome == ABORT_EXHAUSTED
 
     def test_empty_window_always_aborts(self, rng):
@@ -183,7 +214,7 @@ class TestSimulateTrial:
         cb = sample_codebook(ch, 4, 0.25, 0.2, seed=6)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.2))
         assert plan.model.dim_H == 0
-        tr = simulate_trial(plan, ch, 0, rng=rng)
+        tr = simulate_trial(plan, 0, rng=rng)
         assert tr.outcome == ABORT_ATYPICAL
 
     def test_at_most_one_yes_and_chain_stops(self, rng):
@@ -191,7 +222,7 @@ class TestSimulateTrial:
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=7)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
         for _ in range(200):
-            tr = simulate_trial(plan, ch, int(rng.integers(cb.num_messages)), rng=rng)
+            tr = simulate_trial(plan, int(rng.integers(cb.num_messages)), rng=rng)
             assert 0 <= tr.tests_run <= plan.num_tests
             if tr.outcome == DECODED:
                 # the chain stops at its one yes: the last test run decodes
@@ -207,12 +238,12 @@ class TestSimulateTrial:
         cb = sample_codebook(ch, 4, 0.25, 0.3, seed=11)
         params = TypicalityParams(n=4, delta=0.3)
         plan = build_plan(cb, ch, params)
-        report = exact_error_probability(build_povm(plan), ch, cb)
+        report = exact_error_probability(build_povm(plan))
         trials = 4000
         errors = 0
         for _ in range(trials):
             s = int(rng.integers(cb.num_messages))
-            tr = simulate_trial(plan, ch, s, rng=rng)
+            tr = simulate_trial(plan, s, rng=rng)
             errors += tr.outcome != DECODED or tr.decoded != s
         p_hat = errors / trials
         sigma = math.sqrt(report.p_err * (1 - report.p_err) / trials)
@@ -230,7 +261,7 @@ class TestAmplitudeChain:
         amp = amplitude_chain(plan, ch, word, labels, 0)
         # oracle: <k|P|k> = sum of masked squared components
         psi = full_coords(ch, word, labels)
-        expected = float((np.abs(psi[plan.model.mask]) ** 2).sum())
+        expected = float((np.abs(psi[typical_mask(plan.model)]) ** 2).sum())
         assert abs(amp - expected) < 1e-12
 
     def test_projector_onto_state_annihilates(self):
@@ -263,9 +294,7 @@ class TestAmplitudeChain:
     def test_worst_case_monotone(self):
         ch = builtin_channel("pure_pair", overlap=COS45)
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=12)
-        plan = build_plan(
-            cb, ch, TypicalityParams(n=4, delta=0.3), ordering="worst_case", worst_index=0
-        )
+        plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3), ordering="worst_case")
         word = cb.codewords[0]
         labels = (0,) * 4
         mags = [abs(amplitude_chain(plan, ch, word, labels, m)) for m in range(plan.num_tests + 1)]
@@ -283,11 +312,6 @@ class TestChannelMismatch:
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
         return plan, builtin_channel("pure_pair", overlap=0.5), cb.codewords[0], (0,) * 4
 
-    def test_simulate_trial(self, case, rng):
-        plan, other, _, _ = case
-        with pytest.raises(ValidationError):
-            simulate_trial(plan, other, 0, rng=rng)
-
     def test_transcript_probability(self, case):
         plan, other, word, labels = case
         with pytest.raises(ValidationError):
@@ -297,11 +321,6 @@ class TestChannelMismatch:
         plan, other, word, labels = case
         with pytest.raises(ValidationError):
             amplitude_chain(plan, other, word, labels, 0)
-
-    def test_exact_error_probability(self, case):
-        plan, other, _, _ = case
-        with pytest.raises(ValidationError):
-            exact_error_probability(build_povm(plan), other, plan.codebook)
 
 
 class TestAverageAmplitude:
@@ -381,7 +400,7 @@ class TestPOVM:
         assert plan.num_tests == 1
         povm = build_povm(plan)
         # oracle: E_1 = P P_1 P built directly
-        p_mat = np.diag(plan.model.mask.astype(complex))
+        p_mat = np.diag(typical_mask(plan.model).astype(complex))
         (word, labels), = schedule_label_blocks(plan, params.cond_delta, "rank_one")
         phi = full_coords(ch, word, labels[0])
         e1 = p_mat @ np.outer(phi, phi.conj()) @ p_mat
@@ -407,7 +426,6 @@ class TestPOVM:
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=14)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.4), variant=variant)
         assert build_povm(plan).completeness_defect() <= 1e-12
-        assert len(plan.factors) == len(plan.runs)
         dropped = dataclasses.replace(plan, factors=tuple(
             dataclasses.replace(f, columns=np.zeros_like(f.columns)) for f in plan.factors))
         assert build_povm(dropped).completeness_defect() > 0.1
@@ -445,14 +463,14 @@ class TestPOVM:
         def trials(plan):
             rng = np.random.default_rng(21)
             messages = rng.integers(cb.num_messages, size=200).tolist()
-            return [simulate_trial(plan, ch, s, params, rng) for s in messages]
+            return [simulate_trial(plan, s, rng) for s in messages]
 
         fresh = build_plan(cb, ch, params, variant=variant)
         povm_first = build_povm(fresh)
         after_povm = trials(fresh)
         warm = build_plan(cb, ch, params, variant=variant)
         before_povm = trials(warm)
-        assert len(warm.runs) > 1
+        assert len(warm.factors) > 1
         povm_last = build_povm(warm)
         assert povm_first.columns.tobytes() == povm_last.columns.tobytes()
         assert povm_first.abort.tobytes() == povm_last.abort.tobytes()
@@ -463,7 +481,7 @@ class TestPOVM:
         cb = sample_codebook(ch, 4, 0.5, 2.0, seed=15, distinct=True)
         plan = build_plan(cb, ch, wide_params(4))
         povm = build_povm(plan)
-        report = exact_error_probability(povm, ch, cb)
+        report = exact_error_probability(povm)
         assert np.allclose(report.per_message_success, 1.0, atol=1e-12)
 
     def test_chain_probability_equals_povm_diagonal(self):
@@ -489,14 +507,14 @@ class TestExactError:
         ch = builtin_channel("classical_bit")
         cb = sample_codebook(ch, 5, 0.4, 2.0, seed=17, distinct=True)
         plan = build_plan(cb, ch, wide_params(5))
-        report = exact_error_probability(build_povm(plan), ch, cb)
+        report = exact_error_probability(build_povm(plan))
         assert report.p_err < 1e-12
 
     def test_single_message_only_aborts(self):
         ch = builtin_channel("pure_pair", overlap=COS45)
         cb = sample_codebook(ch, 4, 0.0, 0.3, seed=18)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
-        report = exact_error_probability(build_povm(plan), ch, cb)
+        report = exact_error_probability(build_povm(plan))
         assert report.misdecode_mass == pytest.approx(0.0, abs=1e-12)
         assert report.p_err == pytest.approx(report.abort_mass, abs=1e-12)
 
@@ -504,7 +522,7 @@ class TestExactError:
         ch = builtin_channel("pure_pair", overlap=0.5)
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=19)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
-        report = exact_error_probability(build_povm(plan), ch, cb)
+        report = exact_error_probability(build_povm(plan))
         assert report.p_err == pytest.approx(report.abort_mass + report.misdecode_mass, abs=1e-12)
         assert 0.0 <= report.p_err <= 1.0
 
@@ -513,7 +531,7 @@ class TestExactError:
         ch = builtin_channel("pure_pair", overlap=COS45)
         cb = sample_codebook(ch, 4, 0.25, 0.3, seed=11)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
-        report = exact_error_probability(build_povm(plan), ch, cb)
+        report = exact_error_probability(build_povm(plan))
         assert report.p_err == pytest.approx(REGRESSION_P_ERR_N4, abs=1e-12)
 
     def test_duplicate_codewords_count_as_errors(self):
@@ -522,19 +540,11 @@ class TestExactError:
         cb = Codebook(n=4, rate=0.25, seed=0, delta_source=2.0, distinct=False,
                       codewords=(word, word))
         plan = build_plan(cb, ch, wide_params(4))
-        report = exact_error_probability(build_povm(plan), ch, cb)
+        report = exact_error_probability(build_povm(plan))
         # message 0's test fires first for both messages: message 1 never wins
         assert report.per_message_success[0] == pytest.approx(1.0, abs=1e-12)
         assert report.per_message_success[1] == pytest.approx(0.0, abs=1e-12)
         assert report.misdecode_mass == pytest.approx(0.5, abs=1e-12)
-
-    def test_codebook_mismatch_rejected(self):
-        ch = builtin_channel("classical_bit")
-        cb = sample_codebook(ch, 4, 0.5, 2.0, seed=20)
-        other = sample_codebook(ch, 4, 0.5, 2.0, seed=21)
-        povm = build_povm(build_plan(cb, ch, wide_params(4)))
-        with pytest.raises(ValidationError):
-            exact_error_probability(povm, ch, other)
 
 
 # exact oracle value for pure_pair(cos pi/4), n=4, R=0.25, delta=0.3, seed=11;
@@ -550,8 +560,8 @@ class TestSubspaceVariant:
         rank_plan = build_plan(cb, ch, params, variant="rank_one")
         sub_plan = build_plan(cb, ch, params, variant="subspace")
         assert sub_plan.num_tests == cb.num_messages == rank_plan.num_tests
-        r1 = exact_error_probability(build_povm(rank_plan), ch, cb)
-        r2 = exact_error_probability(build_povm(sub_plan), ch, cb)
+        r1 = exact_error_probability(build_povm(rank_plan))
+        r2 = exact_error_probability(build_povm(sub_plan))
         assert r1.p_err == pytest.approx(r2.p_err, abs=1e-10)
 
     def test_rank_equals_conditional_set_size(self):
@@ -589,12 +599,12 @@ class TestSubspaceVariant:
         ch = builtin_channel("depolarized_pair", overlap=0.0, noise=0.5)
         cb = sample_codebook(ch, 4, 0.25, 0.3, seed=26)
         plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.4), variant="subspace")
-        report = exact_error_probability(build_povm(plan), ch, cb)
+        report = exact_error_probability(build_povm(plan))
         trials = 3000
         errors = 0
         for _ in range(trials):
             s = int(rng.integers(cb.num_messages))
-            tr = simulate_trial(plan, ch, s, rng=rng)
+            tr = simulate_trial(plan, s, rng=rng)
             errors += tr.outcome != DECODED or tr.decoded != s
         sigma = math.sqrt(max(report.p_err * (1 - report.p_err), 1e-9) / trials)
         assert abs(errors / trials - report.p_err) <= 3.5 * sigma

@@ -38,7 +38,6 @@ from cqdec.decoder import (
     ABORT_ATYPICAL,
     ABORT_EXHAUSTED,
     DECODED,
-    ChainMemo,
     Transcript,
     _outcome_masses,
     build_plan,
@@ -72,6 +71,7 @@ from conftest import (
     sequential_masses,
     transcript_probability,
     typical_capture,
+    typical_mask,
 )
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -107,7 +107,7 @@ def dense_chain_elements(plan, params, variant):
     """POVM elements from C_1 = P, C_(l+1) = P (1 - P_l) C_l on the full d^n space."""
     ch, model = plan.channel, plan.model
     digits = digit_table(ch.letter_dim, model.n)
-    p = np.diag(model.mask.astype(complex))
+    p = np.diag(typical_mask(model).astype(complex))
     chain = p.copy()
     elements = []
     for word, labels in schedule_label_blocks(plan, params.cond_delta, variant):
@@ -190,7 +190,7 @@ def pairwise_mixture(ch, params, model):
         vecs = product_entries([ch.coords[int(j)] for j in row], digits,
                                np.array(labels, dtype=int).reshape(-1, params.n))
         for i in range(len(labels)):
-            v = np.where(model.mask, vecs[:, i], 0.0)
+            v = np.where(typical_mask(model), vecs[:, i], 0.0)
             lhs += (p_seq * float(probs[i])) * np.outer(v, v.conj())
     return lhs
 
@@ -309,7 +309,7 @@ def einsum_masses(povm, ch, codebook):
 def test_oracle_matches_the_three_operand_einsum(case):
     plan = case[0]
     povm = build_povm(plan)
-    report = exact_error_probability(povm, plan.channel, plan.codebook)
+    report = exact_error_probability(povm)
     success, abort, misdecode = einsum_masses(povm, plan.channel, plan.codebook)
     assert np.abs(report.per_message_success - success).max() <= 1e-12
     assert np.abs(report.per_message_abort - abort).max() <= 1e-12
@@ -325,7 +325,7 @@ def test_oracle_on_an_empty_window_is_a_certain_error():
     povm = build_povm(plan)
     assert plan.model.dim_H == 0
     assert not np.any(povm.columns)
-    assert exact_error_probability(povm, ch, cb).p_err == 1.0
+    assert exact_error_probability(povm).p_err == 1.0
 
 
 @pytest.mark.parametrize("name", sorted(fixture_channels()))
@@ -357,7 +357,7 @@ def test_exact_error_is_at_least_the_typicality_floor(case, delta, data):
     pure = all(sp.support == 1 for sp in ch.letters)
     for variant in ("rank_one", "subspace"):
         plan = build_plan(codebook, ch, params, variant=variant, model=model)
-        p_err = exact_error_probability(build_povm(plan), ch, codebook).p_err
+        p_err = exact_error_probability(build_povm(plan)).p_err
         assert p_err >= 1.0 - capture.mean() - 1e-12, variant
         if pure and variant == "rank_one":
             assert p_err >= 1.0 - (capture**2).mean() - 1e-12
@@ -371,7 +371,7 @@ def test_oracle_matches_the_born_chain_per_message(case):
     # message of test l, is the POVM mass of that message on rho_s
     plan = case[0]
     ch, codebook = plan.channel, plan.codebook
-    report = exact_error_probability(build_povm(plan), ch, codebook)
+    report = exact_error_probability(build_povm(plan))
     messages = np.array(plan.messages, dtype=int)
     for s, word in enumerate(codebook.codewords):
         per_test = np.zeros(plan.num_tests)
@@ -418,7 +418,7 @@ def assert_trials_match_the_reference(plan, seed, trials=60):
     n_msg = plan.codebook.num_messages
     for _ in range(trials):
         s_fast, s_slow = int(fast.integers(n_msg)), int(slow.integers(n_msg))
-        assert simulate_trial(plan, plan.channel, s_fast, rng=fast) == reference_trial(
+        assert simulate_trial(plan, s_fast, rng=fast) == reference_trial(
             plan, s_slow, slow)
     assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -430,14 +430,14 @@ def test_memoised_trials_match_the_unmemoised_walk(case, seed):
 
 
 @SETTINGS
-@given(st.integers(1, 2).flatmap(plan_cases), st.integers(0, 2**32 - 1), st.integers(0, 80))
-def test_a_capped_memo_stays_within_its_limit_and_changes_no_transcript(case, seed, limit):
-    plan = dataclasses.replace(case[0], memo=ChainMemo(limit))
+@given(st.integers(1, 2).flatmap(plan_cases), st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_a_capped_memo_stays_within_its_limit_and_changes_no_transcript(case, seed, slots):
+    # from 0 slots, where no chain is stored, up to more than these plans fill
+    plan = dataclasses.replace(case[0], memo={}, memo_slots=slots)
     assert_trials_match_the_reference(plan, seed)
-    memo = plan.memo
-    assert memo.size <= limit
-    stored = sum(plan.model.dim_H + len(c.masses) for c in memo.chains.values())
-    assert stored == memo.size
+    assert len(plan.memo) <= slots
+    slot = plan.model.dim_H + 1 + 2 * plan.num_tests
+    assert all(plan.model.dim_H + len(c.masses) <= slot for c in plan.memo.values())
 
 
 @SETTINGS
@@ -469,12 +469,12 @@ def test_trial_frequencies_per_message_match_the_exact_oracle(name, params, n, r
     ch = builtin_channel(name, **params)
     cb = sample_codebook(ch, n, rate, delta, seed=5)
     plan = build_plan(cb, ch, TypicalityParams(n=n, delta=delta), variant=variant)
-    report = exact_error_probability(build_povm(plan), ch, cb)
+    report = exact_error_probability(build_povm(plan))
     rng = np.random.default_rng(11)
     for s in range(cb.num_messages):
         counts = np.zeros(3)  # decoded s, decoded another message, aborted
         for _ in range(trials):
-            tr = simulate_trial(plan, ch, s, rng=rng)
+            tr = simulate_trial(plan, s, rng=rng)
             counts[0 if tr.decoded == s else 1 if tr.outcome == DECODED else 2] += 1
         exact = (report.per_message_success[s], report.per_message_misdecode[s],
                  report.per_message_abort[s])

@@ -103,11 +103,11 @@ def test_real_path_equals_the_complex_path(name, variant):
         out[key] = dict(
             plan=plan,
             povm=povm,
-            report=exact_error_probability(povm, ch, cb),
+            report=exact_error_probability(povm),
             pgm=pgm_error_probability(ch, cb),
             rho=rho,
             mixture=verify_mixture_identity(ch, params, model, rho),
-            transcripts=[simulate_trial(plan, ch, s % cb.num_messages, rng=rng)
+            transcripts=[simulate_trial(plan, s % cb.num_messages, rng=rng)
                          for s in range(300)],
         )
     r, c = out["real"], out["complex"]

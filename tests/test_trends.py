@@ -20,7 +20,7 @@ COS45 = math.cos(math.pi / 4)
 def exact_err(ch, n, rate, delta, seed):
     cb = sample_codebook(ch, n, rate, delta, seed)
     plan = build_plan(cb, ch, TypicalityParams(n=n, delta=delta))
-    return exact_error_probability(build_povm(plan), ch, cb).p_err
+    return exact_error_probability(build_povm(plan)).p_err
 
 
 def test_over_capacity_rate_is_strictly_worse():

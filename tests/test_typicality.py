@@ -172,7 +172,7 @@ class TestTypicalModel:
             model = build_typical_model(ch, TypicalityParams(n=n, delta=0.1))
             assert model.dim_H == 2**n
             assert model.trace_bar == pytest.approx(1.0, abs=1e-12)
-            assert model.mask.all()
+            assert model.dim_H == model.dim_total
 
     def test_deterministic_source(self):
         ch = make_channel([1.0], [np.diag([1.0, 0.0])])
