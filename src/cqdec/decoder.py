@@ -41,8 +41,10 @@ every element C_l^dagger P_l C_l is supported on H and the abort element is
 exactly the identity outside it.  POVMSet therefore holds only H-sized
 arrays: a (dim_H, r) block per element and the dim_H x dim_H abort block.
 verify's mixture identity
-is rebuilt from Kronecker products of per-(letter, class size) operators,
-one factor per letter class of a typical sequence.
+is checked on H x H too: its left side commutes with every permutation of
+the positions, so it is one value per joint type of a pair of typical
+basis vectors, each a product of per-(letter, class size) operators summed
+over the typical sequences.
 
 Every array here takes the dtype of the channel's coords: float64 for a
 real channel, complex128 otherwise (see make_channel).  For a real array
@@ -69,7 +71,6 @@ from .typicality import (
     TypicalModel,
     TypicalityParams,
     _ClassBlockCache,
-    _letter_type,
     build_typical_model,
     classical_typical_set,
     conditional_labels,
@@ -462,59 +463,86 @@ def verify_mixture_identity(
     rho_tilde: MaskedHermitian,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> float:
-    """Max-abs deviation between sum_l pi_l P P_l P and rho_tilde.
+    """Max-abs deviation between sum_l pi_l P P_l P and rho_tilde, one value per joint type.
 
-    The left side is rebuilt on the full d^n-dimensional space from Kronecker
-    factors.  A typical sequence's conditional label set is the Cartesian
-    product of one label block per letter class (the positions carrying
-    letter j, m of them), so its sum_labels p_labels |v><v| is the Kronecker
-    product of the d^m x d^m operators A_(j,m) = sum_block p |u><u|, with the
-    tensor axes permuted to the class positions.  Each A_(j,m) is built once,
-    each type's Kronecker product once per type (one at a time), and every
-    sequence adds its permutation of it with weight p_seq.  The result's
-    block at the typical rows and columns is then compared with
-    ``rho_tilde``, build_rho_tilde's masked result for ``model``.
+    A typical sequence's sum_labels p_labels |v><v| is the tensor product of
+    the d^m x d^m operators A_(j,m) = sum_block p |u><u|, one per letter
+    class (the m positions carrying letter j), since its label set is the
+    product of the classes' label blocks.  The typical set and every label
+    window are closed under permuting positions, so the left side L[a, b]
+    depends only on the joint type of (a, b), the counts of the digit pairs
+    (a_i, b_i).  Each (a, b) of H x H gets its joint type's exact id, and L
+    is evaluated once per id, at a representative: per letter type, the
+    product over classes of A_(j,m) at its class-restricted base-d indices,
+    summed over the type's sequences with weight p_seq.  The values are
+    scattered by id to the dim_H x dim_H block and compared with
+    ``rho_tilde``.  The work budget counts that block and the widest
+    A_(j,m); a chunk of a type's sequences keeps four (ids, chunk) arrays
+    alive, together within work_limit.
     """
     n, d = params.n, ch.letter_dim
-    dim = model.dim_total
-    if dim * dim > budgets.work_limit:
+    dim_h = model.dim_H
+    if dim_h * dim_h > budgets.work_limit:
         raise ResourceBudgetError(
-            f"dense {dim}x{dim} accumulation exceeds work budget", reason="work"
+            f"{dim_h}x{dim_h} mixture block exceeds work budget", reason="work"
         )
     seqs = classical_typical_set(ch.priors, n, params.source_delta, budgets)
     cache = _ClassBlockCache(ch, n, params.cond_delta)
-    # each sequence's axis permutation, by type: its (letter, class size) pairs
-    perms_by_type: dict[tuple[tuple[int, int], ...], list[np.ndarray]] = {}
-    pairs = 0
-    for row in seqs:
-        key, order = _letter_type(row)
-        count = cache.type_size(key)
-        pairs += count
-        if pairs > budgets.set_limit:
-            raise ResourceBudgetError(
-                f"mixture identity needs more than {budgets.set_limit} pairs", reason="set"
-            )
-        if count:
-            perms_by_type.setdefault(key, []).append(np.argsort(order))
+    keys, _, kind = cache.types(seqs, budgets)
+    widest = d ** max((m for key in keys for _, m in key), default=0)
+    if widest * widest > budgets.work_limit:
+        raise ResourceBudgetError(
+            f"{widest}x{widest} class operator exceeds work budget", reason="work"
+        )
+    # joint-type ids: the counts of the pair symbols a_i d + b_i in base n + 1,
+    # k symbols at a time and compacted to ids < dim_H^2 after each chunk, so
+    # a code stays below dim_H^2 (n + 1)^k <= 2^63
+    digits = model.masked_digits.astype(np.int64)
+    base, pairs = n + 1, d * d
+    k = pairs
+    while dim_h * dim_h * base**k > 2**63:
+        k -= 1
+    ids = np.zeros(dim_h * dim_h, dtype=np.int64)
+    for lo in range(0, pairs, k):
+        table = np.zeros(pairs, dtype=np.int64)
+        table[lo:lo + k] = base ** np.arange(min(k, pairs - lo))
+        table = table.reshape(d, d)
+        code = ids * base**k
+        for i in range(n):
+            code += table[digits[:, i]][:, digits[:, i]].reshape(-1)
+        codes, ids = np.unique(code, return_inverse=True)
+    # a representative (a, b) of each id: any of its pairs, here the last
+    reps = np.empty(codes.size, dtype=np.int64)
+    reps[ids] = np.arange(ids.size)
+    rep_a, rep_b = (digits[x] for x in np.divmod(reps, dim_h))
+
     log_priors = np.log(ch.priors)
     factors: dict[tuple[int, int], np.ndarray] = {}
     dtype = ch.coords[0].dtype
-    lhs = np.zeros((dim, dim), dtype=dtype)
-    lhs_axes = lhs.reshape((d,) * (2 * n))
-    for key, perms in perms_by_type.items():
-        kron = np.ones((1, 1), dtype=dtype)
+    values = np.zeros(reps.size, dtype=dtype)
+    chunk = max(1, budgets.work_limit // max(4 * reps.size, 1))
+    for t, key in enumerate(keys):
         for j, m in key:
             if (j, m) not in factors:
                 labels, probs = cache.block(j, m)
                 vecs = product_entries([ch.coords[j]] * m, digit_table(d, m), labels)
                 factors[(j, m)] = (vecs * probs) @ vecs.conj().T
-            kron = np.kron(kron, factors[(j, m)])
         p_seq = math.exp(sum(m * float(log_priors[j]) for j, m in key))
-        kron = (p_seq * kron).reshape((d,) * (2 * n))
-        for perm in perms:
-            lhs_axes += kron.transpose(*perm, *(perm + n))
-    ix = model.masked_indices
-    deviation = lhs[np.ix_(ix, ix)]
+        # each sequence's class order: the positions of each letter in turn, ascending
+        orders = np.argsort(seqs[kind == t], axis=1, kind="stable")
+        for at in range(0, orders.shape[0], chunk):
+            part = orders[at:at + chunk]
+            product = np.ones((reps.size, part.shape[0]), dtype=dtype)
+            pos = 0
+            for j, m in key:
+                ia = ib = 0
+                for p in part.T[pos:pos + m]:
+                    ia = ia * d + rep_a[:, p]
+                    ib = ib * d + rep_b[:, p]
+                product *= factors[(j, m)][ia, ib]
+                pos += m
+            values += p_seq * product.sum(axis=1)
+    deviation = values[ids].reshape(dim_h, dim_h)
     deviation -= rho_tilde.as_dense()
     return float(np.abs(deviation).max(initial=0.0))
 

@@ -211,6 +211,26 @@ class _ClassBlockCache:
             self._blocks[key] = (labels, probs)
         return self._blocks[key]
 
+    def types(self, seqs: np.ndarray, budgets: Budgets) -> tuple[list, list, np.ndarray]:
+        """The rows of a (k, n) block of letter sequences grouped by type.
+
+        Returns each type's (letter, class size) key and label table size,
+        and each row's type.  More than ``set_limit`` (sequence, label) pairs
+        in all is a ResourceBudgetError, raised before any table is built.
+        """
+        letter_counts = (seqs[:, :, None] == np.arange(self.ch.alphabet_size)).sum(axis=1)
+        type_counts, kind = np.unique(letter_counts, axis=0, return_inverse=True)
+        kind = kind.reshape(-1)
+        keys = [tuple((j, c) for j, c in enumerate(row) if c) for row in type_counts.tolist()]
+        sizes = [self.type_size(key) for key in keys]
+        total = sum(size * rows for size, rows in zip(sizes, np.bincount(kind).tolist()))
+        if total > budgets.set_limit:
+            raise ResourceBudgetError(
+                f"{total} (sequence, label) pairs exceed set budget {budgets.set_limit}",
+                reason="set",
+            )
+        return keys, sizes, kind
+
     def type_table(self, key: tuple) -> tuple[np.ndarray, np.ndarray]:
         """A type's label sequences and their probs, columns in class order.
 
@@ -230,16 +250,6 @@ class _ClassBlockCache:
             probs *= blk_probs[idx]
             at += m
         return labels, probs
-
-
-def _letter_type(j_seq) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
-    """A sequence's type, its (letter, class size) pairs by letter, and its class order.
-
-    The class order lists the positions of each letter in turn, ascending.
-    """
-    arr = np.asarray(j_seq, dtype=int)
-    key = tuple((j, c) for j, c in enumerate(np.bincount(arr).tolist()) if c)
-    return key, np.argsort(arr, kind="stable")
 
 
 def conditional_labels(
@@ -266,19 +276,9 @@ def conditional_labels(
         raise ValidationError(f"letters must be in [0, {ch.alphabet_size})")
     n = seqs.shape[1]
     cache = _ClassBlockCache(ch, n, delta_cond)
-    letter_counts = (seqs[:, :, None] == np.arange(ch.alphabet_size)).sum(axis=1)
-    type_counts, kind = np.unique(letter_counts, axis=0, return_inverse=True)
-    kind = kind.reshape(-1)
-    keys = [tuple((j, c) for j, c in enumerate(row) if c) for row in type_counts.tolist()]
-    sizes = [cache.type_size(key) for key in keys]
-    rows_per_type = np.bincount(kind, minlength=len(keys)).tolist()
-    total = sum(size * rows for size, rows in zip(sizes, rows_per_type))
-    if total > budgets.set_limit:
-        raise ResourceBudgetError(
-            f"{total} (sequence, label) pairs exceed set budget {budgets.set_limit}",
-            reason="set",
-        )
+    keys, sizes, kind = cache.types(seqs, budgets)
     counts = np.array(sizes, dtype=np.int64)[kind]
+    total = int(counts.sum())
     labels = np.empty((total, n), dtype=np.int16)
     probs = np.empty(total)
     starts = np.cumsum(counts) - counts

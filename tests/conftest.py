@@ -16,12 +16,19 @@ from cqdec.linalg import (
     TOL_EIG,
     TOL_TRACE,
     as_complex_matrix,
+    digit_table,
     entropy_of_spectrum,
     product_entries,
     spectral_decompose,
 )
 from cqdec.decoder import verify_mixture_identity
-from cqdec.typicality import build_rho_tilde, build_typical_model, conditional_labels
+from cqdec.typicality import (
+    _ClassBlockCache,
+    build_rho_tilde,
+    build_typical_model,
+    classical_typical_set,
+    conditional_labels,
+)
 
 FLOOR = 1e-14
 
@@ -241,6 +248,40 @@ def typical_capture(ch, model, codewords) -> np.ndarray:
     a = product_entries([table] * model.n, model.masked_digits, np.array(cols))
     mass = (a.real * a.real + a.imag * a.imag).sum(axis=0)
     return np.bincount(owner, weights=mass, minlength=len(codewords))
+
+
+def kronecker_mixture_deviation(ch, params, model, rho_tilde):
+    """verify_mixture_identity's deviation from a dense d^n x d^n sum, one sequence at a time.
+
+    Each typical sequence adds its type's Kronecker product of the class
+    operators A_(j,m) = sum_block p |u><u| (see verify_mixture_identity),
+    with the tensor axes permuted from class order to the sequence's
+    positions and weight p_seq; the sum is read at the typical rows and
+    columns and compared with ``rho_tilde``.
+    """
+    n, d = params.n, ch.letter_dim
+    cache = _ClassBlockCache(ch, n, params.cond_delta)
+    dtype = ch.coords[0].dtype
+    lhs = np.zeros((model.dim_total, model.dim_total), dtype=dtype)
+    lhs_axes = lhs.reshape((d,) * (2 * n))
+    factors = {}
+    for row in classical_typical_set(ch.priors, n, params.source_delta):
+        row = row.astype(int)
+        key = tuple((j, c) for j, c in enumerate(np.bincount(row).tolist()) if c)
+        if not cache.type_size(key):
+            continue
+        kron = np.ones((1, 1), dtype=dtype)
+        for j, m in key:
+            if (j, m) not in factors:
+                labels, probs = cache.block(j, m)
+                vecs = product_entries([ch.coords[j]] * m, digit_table(d, m), labels)
+                factors[(j, m)] = (vecs * probs) @ vecs.conj().T
+            kron = np.kron(kron, factors[(j, m)])
+        p_seq = math.exp(sum(m * float(np.log(ch.priors[j])) for j, m in key))
+        perm = np.argsort(np.argsort(row, kind="stable"))
+        lhs_axes += (p_seq * kron).reshape((d,) * (2 * n)).transpose(*perm, *(perm + n))
+    ix = model.masked_indices
+    return float(np.abs(lhs[np.ix_(ix, ix)] - rho_tilde.as_dense()).max(initial=0.0))
 
 
 def mixture_deviation(ch, params):

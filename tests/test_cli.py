@@ -151,6 +151,21 @@ class TestVerify:
             rows = list(csv.DictReader(fh))
         assert {r["check"]: r["status"] for r in rows if r["status"].startswith("skip")} == skips
 
+    def test_mixture_identity_budget_counts_the_block_on_h(self, tmp_path):
+        # dim_H = 21 at n = 6: dim_H^2 <= work_budget < (d^n)^2, and the widest
+        # class operator, 16 x 16, fits as well
+        cfg = write_config(
+            tmp_path,
+            "channel = pure_pair\noverlap = 0.5\nn_grid = [6]\nR_grid = [0.25]\n"
+            "delta = 0.3\nseed = 3\nwork_budget = 1000\n",
+        )
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        assert int(rows["typc_dim"]["lhs"]) ** 2 <= 1000 < (2**6) ** 2
+        assert rows["mixture_identity"]["status"] == "pass"
+
     def test_povm_rows_check_the_codebook_simulate_decodes(self, tmp_path, monkeypatch):
         # verify's POVM codebook is the one of simulate's (n, R_grid[0]) point;
         # n_grid entries that differ from their grid indices tell the seeds apart

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cqdec.budgets import Budgets
-from cqdec.channel import builtin_channel, make_channel
+from cqdec.channel import builtin_channel, make_channel, parse_channel_document
 from cqdec.codebook import Codebook, sample_codebook
+from cqdec.config import parse_kv_text
 from cqdec.decoder import (
     ABORT_ATYPICAL,
     ABORT_EXHAUSTED,
@@ -17,10 +19,12 @@ from cqdec.decoder import (
     build_povm,
     exact_error_probability,
     simulate_trial,
+    verify_mixture_identity,
 )
 from cqdec.errors import ResourceBudgetError, ValidationError
 from cqdec.linalg import digit_table, product_entries
 from cqdec.typicality import (
+    MaskedHermitian,
     TypicalityParams,
     build_rho_tilde,
     build_typical_model,
@@ -32,6 +36,7 @@ from conftest import (
     bruteforce_label_block,
     embedded_povm,
     fixture_channels,
+    kronecker_mixture_deviation,
     mixture_deviation,
     schedule_label_blocks,
     transcript_probability,
@@ -372,7 +377,96 @@ class TestAverageAmplitude:
             assert grid[m] == pytest.approx(average_amplitude(rt, [m])[0][0], abs=1e-12)
 
 
+def mixture_channels():
+    """fixture_channels plus the channels the joint-type check is compared on at larger n."""
+    example = Path(__file__).resolve().parent.parent / "configs" / "channel_example.cfg"
+    return dict(
+        fixture_channels(),
+        depolarized_pair_05_03=builtin_channel("depolarized_pair", overlap=0.5, noise=0.3),
+        trine=builtin_channel("trine"),
+        channel_example=parse_channel_document(parse_kv_text(example.read_text())),
+    )
+
+
+MIXTURE_CASES = [(name, n) for name in fixture_channels() for n in (4, 5, 6)] + [
+    ("depolarized_pair_05_03", 8), ("trine", 6), ("channel_example", 4), ("channel_example", 6),
+]
+
+
+def mixture_case(ch, n):
+    params = TypicalityParams(n=n, delta=0.3)
+    model = build_typical_model(ch, params)
+    return params, model, build_rho_tilde(ch, params, model)
+
+
+def real_density(rng, d, rank):
+    a = rng.normal(size=(d, rank))
+    m = a @ a.T
+    return m / np.trace(m)
+
+
 class TestMixtureIdentity:
+    @pytest.mark.parametrize("name, n", MIXTURE_CASES)
+    def test_joint_types_match_the_kronecker_sum(self, name, n):
+        ch = mixture_channels()[name]
+        params, model, rho_tilde = mixture_case(ch, n)
+        if name == "depolarized_pair_05_03":
+            assert (model.dim_H, model.dim_total) == (162, 256)
+        dev = verify_mixture_identity(ch, params, model, rho_tilde)
+        assert abs(dev - kronecker_mixture_deviation(ch, params, model, rho_tilde)) <= 1e-12
+        assert dev <= 1e-10
+
+    @pytest.mark.parametrize("d, n", [(5, 4), (6, 3)])
+    def test_joint_type_codes_past_int64(self, d, n):
+        # a pair-count code in base n + 1 with d^2 digits, times dim_H^2 ids,
+        # passes 2^63: the ids are compacted between chunks of digits
+        rng = np.random.default_rng(d)
+        ch = make_channel([0.6, 0.4], [real_density(rng, d, r) for r in (2, d)])
+        params = TypicalityParams(n=n, delta=0.2, delta_source=0.5, delta_cond=0.5)
+        model = build_typical_model(ch, params)
+        assert 1 < model.dim_H < model.dim_total
+        assert model.dim_H ** 2 * (n + 1) ** (d * d) > 2**63
+        rho_tilde = build_rho_tilde(ch, params, model)
+        assert verify_mixture_identity(ch, params, model, rho_tilde) <= 1e-10
+        for rho in (rho_tilde, MaskedHermitian(diag=np.zeros(model.dim_H))):
+            dev = verify_mixture_identity(ch, params, model, rho)
+            assert abs(dev - kronecker_mixture_deviation(ch, params, model, rho)) <= 1e-12
+
+    def test_one_moved_off_diagonal_pair_is_seen(self):
+        ch = builtin_channel("depolarized_pair", overlap=0.5, noise=0.3)
+        params, model, rho_tilde = mixture_case(ch, 6)
+        dense = rho_tilde.dense.copy()
+        i, k = 1, model.dim_H - 2
+        dense[i, k] += 1e-8
+        dense[k, i] += 1e-8
+        dev = verify_mixture_identity(ch, params, model, MaskedHermitian(dense=dense))
+        assert dev >= 1e-8 * (1 - 1e-6)
+
+    def test_two_swapped_typical_indices_fail(self):
+        ch = builtin_channel("depolarized_pair", overlap=0.5, noise=0.3)
+        params, model, rho_tilde = mixture_case(ch, 6)
+        assert not rho_tilde.is_diagonal
+        perm = np.arange(model.dim_H)
+        perm[[0, -1]] = perm[[-1, 0]]
+        swapped = rho_tilde.dense[np.ix_(perm, perm)]
+        assert verify_mixture_identity(ch, params, model, rho_tilde) <= 1e-10
+        assert verify_mixture_identity(ch, params, model, MaskedHermitian(dense=swapped)) > 1e-10
+
+    @pytest.mark.parametrize("delta_source, fits", [(0.3, 21 * 21), (2.0, 64 * 64)])
+    def test_work_budget_counts_the_block_and_the_widest_class_operator(self, delta_source, fits):
+        # dim_H = 21; with every sequence typical the widest class operator is
+        # the 64 x 64 A_(j,6), else it is 16 x 16 and the block decides
+        ch = builtin_channel("pure_pair", overlap=0.5)
+        params = TypicalityParams(n=6, delta=0.3, delta_source=delta_source)
+        model = build_typical_model(ch, params)
+        rho_tilde = build_rho_tilde(ch, params, model)
+        assert model.dim_H == 21
+        with pytest.raises(ResourceBudgetError) as exc:
+            verify_mixture_identity(ch, params, model, rho_tilde, Budgets(work_limit=fits - 1))
+        assert exc.value.reason == "work"
+        dev = verify_mixture_identity(ch, params, model, rho_tilde, Budgets(work_limit=fits))
+        assert dev <= 1e-10
+
     def test_classical_everything_typical(self):
         ch = builtin_channel("classical_bit")
         assert mixture_deviation(ch, wide_params(3)) < 1e-12
