@@ -52,7 +52,6 @@ _CONFIG_KEYS = {
     "trials",
     "seed",
     "variants",
-    "ordering",
     "distinct_codewords",
     "exact",
     "m_max",
@@ -62,7 +61,6 @@ _CONFIG_KEYS = {
 }
 
 _VARIANTS = ("rank_one", "subspace", "pgm")
-_ORDERINGS = ("lexicographic", "worst_case")
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,6 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     variants: tuple[str, ...] = ("rank_one",)
-    ordering: str = "lexicographic"
     distinct_codewords: bool = False
     exact: str = "auto"
     m_max: int = 64
@@ -160,10 +157,6 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
         if bad:
             raise ConfigError(f"unknown variants {sorted(bad)}; valid: {_VARIANTS}")
         kwargs["variants"] = variants
-    if "ordering" in doc:
-        if doc["ordering"] not in _ORDERINGS:
-            raise ConfigError(f"ordering must be one of {_ORDERINGS}")
-        kwargs["ordering"] = doc["ordering"]
     if "distinct_codewords" in doc:
         if not isinstance(doc["distinct_codewords"], bool):
             raise ConfigError("'distinct_codewords' must be true or false")

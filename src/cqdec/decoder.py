@@ -283,16 +283,14 @@ def build_plan(
     codebook: Codebook,
     ch: CQChannel,
     params: TypicalityParams,
-    ordering: str = "lexicographic",
     variant: str = RANK_ONE,
     model: TypicalModel | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> DecoderPlan:
     """Ordered test schedule over the codebook's conditional typical outputs.
 
-    ``lexicographic`` runs messages in order, each message's label sequences in
-    lexicographic order.  ``worst_case`` moves every test of message 0 to the
-    end of the schedule, realizing the ordering the error bound assumes.
+    Messages run in order, each message's label sequences in lexicographic
+    order, so message N - 1 is tested last.
     One conditional_labels call gives every message's label sequences, and the
     work budget counts one block of columns per message, repeated codewords
     included.  The plan comes with every WY run's factor, which together are
@@ -301,36 +299,31 @@ def build_plan(
     """
     if variant not in (RANK_ONE, SUBSPACE):
         raise ValidationError(f"unknown variant '{variant}'")
-    if ordering not in ("lexicographic", "worst_case"):
-        raise ValidationError(f"unknown ordering '{ordering}'")
     if codebook.n != params.n:
         raise ValidationError(f"codebook n={codebook.n} but params n={params.n}")
     if model is None:
         model = build_typical_model(ch, params, budgets)
 
-    messages = list(range(codebook.num_messages))
-    if ordering == "worst_case":
-        messages = messages[1:] + messages[:1]
-    words = np.array([codebook.codewords[s] for s in messages], dtype=int).reshape(-1, params.n)
+    words = np.array(codebook.codewords, dtype=int).reshape(-1, params.n)
     labels, _, counts = conditional_labels(ch, words, params.cond_delta, budgets)
     dim_h = model.dim_H
     if labels.shape[0] * max(dim_h, 1) > budgets.work_limit:
         raise ResourceBudgetError(
             f"masked test blocks {dim_h}x{labels.shape[0]} exceed work budget", reason="work"
         )
-    # each message's labels in lexicographic order: sort by schedule position,
-    # then by the labels' base-d index
+    # each message's labels in lexicographic order: sort by message, then by
+    # the labels' base-d index
     d = ch.letter_dim
-    owner = np.repeat(np.arange(len(messages)), counts)
+    owner = np.repeat(np.arange(codebook.num_messages), counts)
     key = owner
     for column in labels.T:
         key = key * d + column
     labels = labels[np.argsort(key, kind="stable")]
     if variant == RANK_ONE:
-        tested = np.repeat(messages, counts).tolist()
+        tested = owner.tolist()
         widths = [1] * len(tested)
     else:
-        tested, widths = messages, counts.tolist()
+        tested, widths = range(codebook.num_messages), counts.tolist()
     # the letters' coords side by side: letter j's column k is table column j*d + k,
     # so one product_entries call gives every test column, in schedule order
     table = np.concatenate(ch.coords, axis=1)

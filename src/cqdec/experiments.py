@@ -127,8 +127,7 @@ def run_point(
                 ci_high=err,
                 exact_err=err,
             )
-        plan = build_plan(codebook, ch, params, ordering=cfg.ordering, variant=variant,
-                          budgets=budgets)
+        plan = build_plan(codebook, ch, params, variant=variant, budgets=budgets)
         dim = ch.letter_dim**n
         want_exact = cfg.exact == "always" or (
             cfg.exact == "auto" and dim <= _EXACT_AUTO_DIM and plan.num_tests <= _EXACT_AUTO_TESTS

@@ -10,10 +10,13 @@ Two flavors of typicality live here, each matching the clause it implements:
   count-bounds computation serves both, enumerated by _window_sequences,
   counted by _window_size and read by is_typical_sequence.
 
-Everything is expressed in the product eigenbasis of the average state, where
-P is a diagonal 0/1 mask and applying it costs O(d^n) instead of a dense
-matrix product.  Window boundaries are widened by 1e-9 so a degenerate
-eigenvalue cluster is never split by roundoff.
+All three are unions of type classes, so one enumerator, _type_sequences,
+expands count vectors into their sequences for all of them.  Everything is
+expressed in the product eigenbasis of the average state, where P is the
+list of kept eigenvectors (masked_indices / masked_digits): it is found per
+eigenlabel count vector, never by a scan of all d^n labels.  Window
+boundaries are widened by 1e-9 so a degenerate eigenvalue cluster is never
+split by roundoff.
 
 A sequence's conditional label window depends only on its type, so
 conditional_labels works on a block of sequences at type scale: one label
@@ -35,7 +38,7 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
 from .errors import ResourceBudgetError, ValidationError
-from .linalg import digit_table, exp2, product_entries
+from .linalg import exp2, product_entries
 
 _WINDOW_WIDEN = 1e-9
 _FREQ_WIDEN = 1e-12
@@ -85,9 +88,8 @@ def _count_bounds(targets, n_total: int, delta: float, size: int) -> tuple[list,
     return lo, hi
 
 
-def _window_counts(targets, n_total: int, delta: float, size: int) -> list[tuple[int, ...]]:
-    """Count vectors m (sum ``size``) inside the window, in lexicographic order."""
-    lo, hi = _count_bounds(targets, n_total, delta, size)
+def _window_counts(lo, hi, size: int) -> list[tuple[int, ...]]:
+    """Count vectors m (sum ``size``) with lo_k <= m_k <= hi_k, in lexicographic order."""
     out: list[tuple[int, ...]] = []
 
     def rec(k: int, remaining: int, acc: list[int]):
@@ -104,16 +106,34 @@ def _window_counts(targets, n_total: int, delta: float, size: int) -> list[tuple
 
 def _window_size(targets, n_total: int, delta: float, size: int) -> int:
     """How many sequences of length ``size`` have their counts inside the window."""
-    return sum(_multinomial(size, m) for m in _window_counts(targets, n_total, delta, size))
+    counts = _window_counts(*_count_bounds(targets, n_total, delta, size), size)
+    return sum(_multinomial(size, m) for m in counts)
 
 
 def _window_sequences(targets, n_total: int, delta: float, size: int) -> np.ndarray:
     """(count, size) int16 array of the sequences inside the window, lexicographic."""
-    seqs: list[tuple[int, ...]] = []
-    for m in _window_counts(targets, n_total, delta, size):
-        seqs.extend(_multiset_permutations(list(m)))
-    seqs.sort()
-    return np.array(seqs, dtype=np.int16).reshape(len(seqs), size)
+    counts = _window_counts(*_count_bounds(targets, n_total, delta, size), size)
+    return _type_sequences(counts, len(targets), size)
+
+
+def _type_sequences(counts, d: int, size: int) -> np.ndarray:
+    """(count, size) int16 array of every sequence of the given count vectors, lexicographic.
+
+    Each position takes one np.nonzero step over every partial sequence's
+    remaining counts, which keeps each count vector's sequences in
+    lexicographic order; one lexsort merges the count vectors'.
+    """
+    left = np.array(counts, dtype=np.int64).reshape(-1, d)
+    seqs = np.empty((left.shape[0], size), dtype=np.int16)
+    for i in range(size):
+        parent, symbol = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(symbol.size), symbol] -= 1
+        seqs = seqs[parent]
+        seqs[:, i] = symbol
+    if len(counts) > 1:
+        seqs = seqs[np.lexsort(seqs.T[::-1])]
+    return seqs
 
 
 def _multinomial(n: int, counts) -> int:
@@ -121,27 +141,6 @@ def _multinomial(n: int, counts) -> int:
     for c in counts:
         total //= math.factorial(c)
     return total
-
-
-def _multiset_permutations(counts: list[int]):
-    """All sequences with the given symbol counts, in lexicographic order."""
-    total = sum(counts)
-    seq: list[int] = []
-    work = list(counts)
-
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for sym in range(len(work)):
-            if work[sym] > 0:
-                work[sym] -= 1
-                seq.append(sym)
-                yield from rec()
-                seq.pop()
-                work[sym] += 1
-
-    yield from rec()
 
 
 def is_typical_sequence(priors, seqs, delta_source: float) -> np.ndarray:
@@ -294,7 +293,11 @@ def conditional_labels(
 
 @dataclass(frozen=True)
 class TypicalModel:
-    """Typical subspace H (product eigenvectors at masked_indices) and rho_bar's diagonal on it."""
+    """Typical subspace H (product eigenvectors at masked_indices) and rho_bar's diagonal on it.
+
+    masked_indices are the kept eigenvectors' base-d indices, ascending, and
+    masked_digits their eigenlabel digits in the same (lexicographic) order.
+    """
 
     n: int
     letter_dim: int
@@ -332,22 +335,28 @@ class TypicalModel:
 def build_typical_model(
     ch: CQChannel, params: TypicalityParams, budgets: Budgets = DEFAULT_BUDGETS
 ) -> TypicalModel:
-    """Mask the product eigenbasis of the n-fold average state by the entropy window."""
+    """The product eigenvectors of the n-fold average state inside the entropy window.
+
+    An eigenvalue depends only on its labels' counts, so the window is tested
+    once per count vector, on its first sequence, and the kept ones are
+    expanded; no d^n-sized array is formed.
+    """
     n, d = params.n, ch.letter_dim
     dim = d**n
     if dim > budgets.dim_limit:
         raise ResourceBudgetError(
             f"composite dimension {dim} exceeds dim budget {budgets.dim_limit}", reason="dim"
         )
-    digits = digit_table(d, n)
-    products = np.prod(ch.avg_probs[digits.astype(int)], axis=1)
+    counts = np.array(_window_counts([0] * d, [n] * d, n))
+    firsts = np.repeat(np.tile(np.arange(d), len(counts)), counts.ravel()).reshape(-1, n)
     s_rho = ch.avg_entropy
     lo = -n * (s_rho + params.delta) - _WINDOW_WIDEN
     hi = -n * (s_rho - params.delta) + _WINDOW_WIDEN
     with np.errstate(divide="ignore"):
-        logs = np.log2(products)
-    mask = (logs >= lo) & (logs <= hi)
-    masked_indices = np.nonzero(mask)[0]
+        logs = np.log2(np.prod(ch.avg_probs[firsts], axis=1))
+    digits = _type_sequences(counts[(logs >= lo) & (logs <= hi)], d, n)
+    products = np.prod(ch.avg_probs[digits.astype(int)], axis=1)
+    masked_indices = digits @ d ** np.arange(n - 1, -1, -1)
     return TypicalModel(
         n=n,
         letter_dim=d,
@@ -355,9 +364,9 @@ def build_typical_model(
         epsilon_target=params.epsilon_target,
         s_rho=s_rho,
         masked_indices=masked_indices,
-        masked_digits=digits[mask],
-        rho_bar_diag=products[mask],
-        trace_bar=float(products[mask].sum()),
+        masked_digits=digits,
+        rho_bar_diag=products,
+        trace_bar=float(products.sum()),
     )
 
 
@@ -429,10 +438,8 @@ def build_rho_tilde(
         index = np.zeros(labels.shape[0], dtype=np.int64)  # the base-d composite index
         for j, k in zip(words.T, labels.T):
             index = index * d + rowmap[j, k]
-        rank = np.full(model.dim_total, -1, dtype=np.int64)
-        rank[model.masked_indices] = np.arange(dim_h)
-        r = rank[index]
-        keep = r >= 0
+        r = np.searchsorted(model.masked_indices, index)
+        keep = np.append(model.masked_indices, -1)[r] == index
         diag = np.zeros(dim_h)
         np.add.at(diag, r[keep], weights[keep])
         return MaskedHermitian(diag=diag)

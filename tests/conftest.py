@@ -23,6 +23,8 @@ from cqdec.linalg import (
 )
 from cqdec.decoder import verify_mixture_identity
 from cqdec.typicality import (
+    _WINDOW_WIDEN,
+    TypicalModel,
     _ClassBlockCache,
     build_rho_tilde,
     build_typical_model,
@@ -330,6 +332,34 @@ def channel_cases(draw, min_rank=1):
     ranks = [draw(st.integers(min_rank, d)) for _ in range(letters)]
     priors = rng.dirichlet(np.ones(letters)) * 0.9 + 0.1 / letters
     return make_channel(priors, [random_density(rng, d, r) for r in ranks]), n
+
+
+def reference_typical_model(ch, params) -> TypicalModel:
+    """The typical model by a scan of all d^n product eigenvalues, each tested on its own.
+
+    Every label sequence of digit_table gets its product of average-state
+    eigenvalues and the entropy window test; build_typical_model must give
+    the same arrays to the bit.
+    """
+    n, d = params.n, ch.letter_dim
+    digits = digit_table(d, n)
+    products = np.prod(ch.avg_probs[digits.astype(int)], axis=1)
+    lo = -n * (ch.avg_entropy + params.delta) - _WINDOW_WIDEN
+    hi = -n * (ch.avg_entropy - params.delta) + _WINDOW_WIDEN
+    with np.errstate(divide="ignore"):
+        logs = np.log2(products)
+    mask = (logs >= lo) & (logs <= hi)
+    return TypicalModel(
+        n=n,
+        letter_dim=d,
+        delta=params.delta,
+        epsilon_target=params.epsilon_target,
+        s_rho=ch.avg_entropy,
+        masked_indices=np.nonzero(mask)[0],
+        masked_digits=digits[mask],
+        rho_bar_diag=products[mask],
+        trace_bar=float(products[mask].sum()),
+    )
 
 
 def typical_mask(model):

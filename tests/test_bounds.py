@@ -138,13 +138,13 @@ class TestCodebookAveragedAmplitude:
     """The paper's averaging step, on sampled codebooks.
 
     The paper reads Tr[(P - rho_tilde)^m rho_tilde] as the codebook average of
-    the success amplitude of the message tested last.  For pure letters,
-    rank-one tests and independent codewords the average is exact:
-    E[a_0] = Tr[(I - rho_c)^(N-1) rho_c], for a_0 = w_0^dagger
-    prod_(l>=1) (I - w_l w_l^dagger) w_0 and rho_c = E[w w^dagger] of one
-    codeword's test column w = P phi.  sample_codebook draws codewords from
-    the typical set T only, while build_rho_tilde weights every sequence by
-    p(x), so rho_c = rho_tilde / p(T).
+    the success amplitude of the message tested last, message N - 1 in the
+    plan's order.  For pure letters, rank-one tests and independent codewords
+    the average is exact: E[a] = Tr[(I - rho_c)^(N-1) rho_c], for
+    a = w_(N-1)^dagger prod_(l<N-1) (I - w_l w_l^dagger) w_(N-1) and
+    rho_c = E[w w^dagger] of one codeword's test column w = P phi.
+    sample_codebook draws codewords from the typical set T only, while
+    build_rho_tilde weights every sequence by p(x), so rho_c = rho_tilde / p(T).
     """
 
     SEEDS = range(1000)  # the codebook seeds of every row, fixed in advance
@@ -160,8 +160,9 @@ class TestCodebookAveragedAmplitude:
         amplitudes = []
         for seed in self.SEEDS:
             codebook = sample_codebook(ch, n, rate, delta, seed)
-            plan = build_plan(codebook, ch, params, ordering="worst_case", model=model)
-            assert plan.num_tests == codebook.num_messages and plan.messages[-1] == 0
+            plan = build_plan(codebook, ch, params, model=model)
+            assert plan.num_tests == codebook.num_messages
+            assert plan.messages[-1] == codebook.num_messages - 1
             w = plan.columns
             v = w[:, -1].copy()
             for l in range(plan.num_tests - 1):
@@ -174,8 +175,8 @@ class TestCodebookAveragedAmplitude:
         z = (a.real.mean() - predicted) / (a.real.std(ddof=1) / math.sqrt(a.size))
         lower = gamma_lower_bound(n, delta, 1.0 - rho_tilde.trace(), model.s_rho,
                                   n_msg - 1).lower_bound
-        summary = (f"E[a_0] = {a.real.mean():.4f}, predicted {predicted:.4f}, z = {z:.2f}, "
-                   f"E|a_0|^2 = {np.mean(np.abs(a) ** 2):.4f}, "
+        summary = (f"E[a] = {a.real.mean():.4f}, predicted {predicted:.4f}, z = {z:.2f}, "
+                   f"E|a|^2 = {np.mean(np.abs(a) ** 2):.4f}, "
                    f"1 - eps_tilde - gamma(N - 1) = {lower:.4f}")
         assert abs(z) <= 4.0, summary
         assert np.mean(np.abs(a) ** 2) >= abs(a.mean()) ** 2, summary

@@ -42,7 +42,6 @@ class TestConfigParsing:
     def test_defaults(self):
         cfg = experiment_config_from_document({"channel": "classical_bit"})
         assert cfg.variants == ("rank_one",)
-        assert cfg.ordering == "lexicographic"
 
     def test_channel_file_consistency(self):
         with pytest.raises(ConfigError):
@@ -55,8 +54,6 @@ class TestConfigParsing:
             experiment_config_from_document({"channel": "trine", "n_grid": "nope"})
         with pytest.raises(ConfigError):
             experiment_config_from_document({"channel": "trine", "variants": ["bogus"]})
-        with pytest.raises(ConfigError):
-            experiment_config_from_document({"channel": "trine", "ordering": "bogus"})
         with pytest.raises(ConfigError):
             experiment_config_from_document({"channel": "file", "channel_file": 5})
 
@@ -355,6 +352,13 @@ class TestExitCodes:
     def test_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "channel = pure_pair\noverlap = 0.5\nbogus = 1\n")
         assert main(["simulate", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("ordering", ["lexicographic", "worst_case"])
+    def test_ordering_is_an_unknown_key(self, tmp_path, capsys, ordering):
+        # messages are always tested in order, so message N - 1 is tested last
+        cfg = write_config(tmp_path, BASE_CONFIG + f"ordering = {ordering}\n")
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "unknown config keys: ['ordering']" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert main(["simulate", "--config", "/nonexistent/x.cfg"]) == 1

@@ -105,30 +105,14 @@ class TestBuildPlan:
         )
         assert plan.num_tests == expected
 
-    def test_worst_case_ordering(self):
-        ch = builtin_channel("pure_pair", overlap=0.5)
-        cb = sample_codebook(ch, 4, 0.5, 0.3, seed=4)
-        plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3), ordering="worst_case")
-        messages = list(plan.messages)
-        k = len([m for m in messages if m != 0])
-        assert all(m != 0 for m in messages[:k])
-        assert all(m == 0 for m in messages[k:])
-
-    @pytest.mark.parametrize(
-        "variant, ordering", [("rank_one", "lexicographic"), ("subspace", "lexicographic"),
-                              ("rank_one", "worst_case"), ("subspace", "worst_case")]
-    )
-    def test_columns_equal_per_codeword_blocks_to_the_bit(self, variant, ordering):
+    @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
+    def test_columns_equal_per_codeword_blocks_to_the_bit(self, variant):
         params = TypicalityParams(n=5, delta=0.3)
         for name, ch in fixture_channels().items():
             cb = sample_codebook(ch, 5, 0.6, 0.3, seed=8)
-            plan = build_plan(cb, ch, params, ordering=ordering, variant=variant)
-            messages = list(range(cb.num_messages))
-            if ordering == "worst_case":
-                messages = messages[1:] + messages[:1]
+            plan = build_plan(cb, ch, params, variant=variant)
             blocks = []
-            for s in messages:
-                word = cb.codewords[s]
+            for word in cb.codewords:
                 labels = bruteforce_label_block(ch, word, params.cond_delta)
                 blocks.append(product_entries([ch.coords[j] for j in word],
                                               plan.model.masked_digits, labels))
@@ -189,8 +173,6 @@ class TestBuildPlan:
         params = TypicalityParams(n=4, delta=0.3)
         with pytest.raises(ValidationError):
             build_plan(cb, ch, params, variant="bogus")
-        with pytest.raises(ValidationError):
-            build_plan(cb, ch, params, ordering="bogus")
         with pytest.raises(ValidationError):
             build_plan(cb, ch, TypicalityParams(n=5, delta=0.3))  # n mismatch
 
@@ -299,8 +281,9 @@ class TestAmplitudeChain:
     def test_worst_case_monotone(self):
         ch = builtin_channel("pure_pair", overlap=COS45)
         cb = sample_codebook(ch, 4, 0.5, 0.3, seed=12)
-        plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3), ordering="worst_case")
-        word = cb.codewords[0]
+        plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.3))
+        assert plan.messages[-1] == cb.num_messages - 1  # tested last
+        word = cb.codewords[-1]
         labels = (0,) * 4
         mags = [abs(amplitude_chain(plan, ch, word, labels, m)) for m in range(plan.num_tests + 1)]
         for a, b in zip(mags, mags[1:]):

@@ -55,27 +55,6 @@ class TestRunPoint:
         assert res.exact_err is not None  # auto policy at this size
         assert res.margin == pytest.approx(res.chi - 0.3 - 0.25)
 
-    @pytest.mark.parametrize("variant", ["rank_one", "subspace"])
-    def test_worst_case_ordering_tests_message_0_last(self, monkeypatch, variant):
-        # run_point's plan keeps the other messages in order and moves every
-        # test of message 0 to the end of the schedule
-        plans = []
-
-        def spy(*args, _real=experiments.build_plan, **kwargs):
-            plans.append(_real(*args, **kwargs))
-            return plans[-1]
-
-        monkeypatch.setattr(experiments, "build_plan", spy)
-        ch = builtin_channel("pure_pair", overlap=0.5)
-        for ordering in ("lexicographic", "worst_case"):
-            res = run_point(ch, make_config(ordering=ordering), 4, 0.5, variant, seed=99)
-            assert res.status == "ok"
-        lexicographic, worst = (list(p.messages) for p in plans)
-        assert len(set(worst)) == 4
-        k = worst.index(0)
-        assert 0 not in worst[:k] and set(worst[k:]) == {0}
-        assert worst == [m for m in lexicographic if m] + [m for m in lexicographic if not m]
-
     def test_pgm_variant(self):
         cfg = make_config()
         ch = builtin_channel("pure_pair", overlap=0.5)

@@ -1,6 +1,10 @@
 """Property tests over random channels with letter dimension d in {2, 3}.
 
-The product kernel is checked against chained np.kron, the POVM that
+The count-vector enumerator of frequency windows is checked against a
+brute-force filter of every sequence, the typical model against the scan
+of every label (conftest.reference_typical_model) to the bit, and the
+classical rho_tilde, which ranks labels in H by a search, against the dense
+sum.  The product kernel is checked against chained np.kron, the POVM that
 build_povm assembles on the typical subspace in compact WY runs against the
 no-chain run one test at a time on H and, embedded into the full d^n space,
 against the no-chain run there, for both decoder variants, each
@@ -28,7 +32,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqdec.budgets import Budgets
@@ -52,6 +56,8 @@ from cqdec.errors import ValidationError
 from cqdec.linalg import digit_table, product_entries
 from cqdec.typicality import (
     TypicalityParams,
+    _count_bounds,
+    _window_sequences,
     build_rho_tilde,
     build_typical_model,
     classical_typical_set,
@@ -66,6 +72,7 @@ from conftest import (
     fixture_channels,
     random_density,
     reference_codewords,
+    reference_typical_model,
     scalar_run_masses,
     schedule_label_blocks,
     sequential_masses,
@@ -129,6 +136,73 @@ def test_product_entries_is_a_block_of_the_kron_product(case):
     block = product_entries(mats, digit_table(d, n)[rows], digit_table(d, n)[cols])
     assert block.shape == (rows.size, cols.size)
     assert np.array_equal(block, dense[np.ix_(rows, cols)])
+
+
+@st.composite
+def window_cases(draw):
+    """A frequency window over 2 or 3 symbols: random targets, sequences of length 0 and up."""
+    d = draw(st.sampled_from((2, 3)))
+    size = draw(st.integers(0, 7 if d == 2 else 5))
+    n_total = size + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = rng.dirichlet(np.ones(d)) * draw(st.sampled_from((0.3, 0.7, 1.0)))
+    return targets, n_total, draw(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.5, 2.0))), size
+
+
+@SETTINGS
+@given(window_cases())
+@example((np.array([0.5, 0.5]), 3, 0.0, 3))  # an empty window
+@example((np.array([0.5, 0.5]), 2, 0.1, 0))  # length 0, empty window
+@example((np.array([0.5, 0.5]), 2, 2.0, 0))  # length 0: the empty sequence
+def test_window_enumerator_matches_the_bruteforce_filter(case):
+    targets, n_total, delta, size = case
+    lo, hi = _count_bounds(targets, n_total, delta, size)
+    ref = [s for s in itertools.product(range(len(targets)), repeat=size)
+           if all(a <= s.count(k) <= b for k, (a, b) in enumerate(zip(lo, hi)))]
+    seqs = _window_sequences(targets, n_total, delta, size)
+    assert seqs.dtype == np.int16 and seqs.shape == (len(ref), size)
+    assert [tuple(s) for s in seqs.tolist()] == ref
+
+
+@st.composite
+def model_cases(draw):
+    """A random channel, a block length up to d^n = 1024 and an entropy window."""
+    ch, _ = draw(channel_cases())
+    n = draw(st.integers(1, 10 if ch.letter_dim == 2 else 6))
+    delta = draw(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 2.0)))
+    return ch, TypicalityParams(n=n, delta=delta)
+
+
+@SETTINGS
+@given(model_cases())
+def test_typical_model_matches_the_scan_of_every_label_to_the_bit(case):
+    ch, params = case
+    model, ref = build_typical_model(ch, params), reference_typical_model(ch, params)
+    for name in ("masked_indices", "masked_digits", "rho_bar_diag"):
+        got, want = getattr(model, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert model == dataclasses.replace(ref, masked_indices=model.masked_indices,
+                                        masked_digits=model.masked_digits,
+                                        rho_bar_diag=model.rho_bar_diag)
+
+
+@SETTINGS
+@given(st.sampled_from((2, 3)), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.2, 0.5, 2.0)), st.data())
+def test_classical_rho_tilde_matches_the_dense_sum(d, letters, seed, delta, data):
+    # the classical path finds each label sequence's rank in H by a search of
+    # masked_indices; the dense path reads masked_digits
+    rng = np.random.default_rng(seed)
+    priors = rng.dirichlet(np.ones(letters)) * 0.9 + 0.1 / letters
+    ch = make_channel(priors, [np.diag(rng.dirichlet(np.ones(d))) for _ in range(letters)])
+    assert ch.is_classical
+    params = TypicalityParams(n=data.draw(st.integers(1, 6 if d == 2 else 4)), delta=delta)
+    model = build_typical_model(ch, params)
+    diag = build_rho_tilde(ch, params, model)
+    dense = build_rho_tilde(dataclasses.replace(ch, is_classical=False), params, model)
+    assert diag.is_diagonal and not dense.is_diagonal
+    assert np.abs(dense.dense - np.diag(diag.diag)).max(initial=0.0) <= 1e-15
 
 
 @SETTINGS

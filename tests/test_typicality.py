@@ -205,6 +205,20 @@ class TestTypicalModel:
         with pytest.raises(ResourceBudgetError):
             build_typical_model(ch, TypicalityParams(n=5, delta=0.1), budgets=Budgets(dim_limit=16))
 
+    def test_model_holds_no_array_of_every_label(self):
+        # d^n = 65536 labels, 17 count vectors, 680 kept: a scan of every
+        # label would hold 65536 x 16 digits alone
+        ch = builtin_channel("pure_pair", overlap=COS45)
+        params = TypicalityParams(n=16, delta=0.2)
+        tracemalloc.start()
+        try:
+            model = build_typical_model(ch, params, Budgets(dim_limit=2**16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.dim_H == 680
+        assert peak < 2**20
+
     def test_digit_table_convention(self):
         # letter 1 occupies the most significant digit
         t = digit_table(2, 3)
