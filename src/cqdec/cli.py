@@ -11,7 +11,7 @@ import csv
 import io
 import sys
 
-from .budgets import DEFAULT_BUDGETS, Budgets
+from .budgets import Budgets
 from .bounds import check_amplitude_lower_bound, check_trace_power_bounds
 from .channel import CQChannel, builtin_channel, holevo_chi, parse_channel_document
 from .codebook import sample_codebook
@@ -42,15 +42,6 @@ def resolve_channel(cfg: ExperimentConfig) -> CQChannel:
         return builtin_channel(cfg.channel, **cfg.channel_params)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def resolve_budgets(cfg: ExperimentConfig) -> Budgets:
-    base = Budgets(
-        dim_limit=cfg.dim_budget or DEFAULT_BUDGETS.dim_limit,
-        set_limit=cfg.set_budget or DEFAULT_BUDGETS.set_limit,
-        work_limit=cfg.work_budget or DEFAULT_BUDGETS.work_limit,
-    )
-    return base.with_env_overrides()
 
 
 def _emit_table(rows: list[dict], columns: tuple[str, ...], fmt: str, out_path: str | None):
@@ -180,7 +171,7 @@ def output_table(command: str, cfg: ExperimentConfig, jobs: int) -> tuple[list[d
             "mean_letter_entropy": ch.mean_letter_entropy,
         }
         return [row], tuple(row)
-    budgets = resolve_budgets(cfg)
+    budgets = Budgets.resolve(cfg)
     if command == "verify":
         rows = [row for n in cfg.n_grid for row in _verify_point(ch, cfg, n, budgets)]
         return rows, _VERIFY_COLUMNS

@@ -15,7 +15,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
-from .errors import ResourceBudgetError, ValidationError
+from .errors import ValidationError
 from .typicality import is_typical_sequence, typical_set_size
 
 _SNAP = 1e-9
@@ -54,14 +54,9 @@ def sample_codebook(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> Codebook:
     """Draw ceil(2^(nR)) typical codewords, deterministically in ``seed``."""
-    # in log2 space first, as 2^(nR) overflows a float from nR = 1024; one bit
-    # of margin leaves a count near the limit to codeword_count's snapping
-    if (n * rate > min(math.log2(budgets.set_limit) + 1, 1023)
-            or (target := codeword_count(n, rate)) > budgets.set_limit):
-        raise ResourceBudgetError(
-            f"codebook of 2^{n * rate:g} codewords exceeds set budget {budgets.set_limit}",
-            reason="set",
-        )
+    # 2^(nR) overflows a float from nR = 1024, a count past any set budget
+    target = codeword_count(n, rate) if n * rate < 1024 else math.inf
+    budgets.require(f"codebook of 2^{n * rate:g} codewords", set=target)
     available = typical_set_size(ch.priors, n, delta_source)
     if available == 0:
         raise ValidationError(

@@ -64,7 +64,7 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
 from .codebook import Codebook
-from .errors import ResourceBudgetError, ValidationError
+from .errors import ValidationError
 from .linalg import digit_table, product_entries
 from .typicality import (
     MaskedHermitian,
@@ -307,10 +307,9 @@ def build_plan(
     words = np.array(codebook.codewords, dtype=int).reshape(-1, params.n)
     labels, _, counts = conditional_labels(ch, words, params.cond_delta, budgets)
     dim_h = model.dim_H
-    if labels.shape[0] * max(dim_h, 1) > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"masked test blocks {dim_h}x{labels.shape[0]} exceed work budget", reason="work"
-        )
+    budgets.require(
+        f"masked test blocks {dim_h}x{labels.shape[0]}", work=labels.shape[0] * max(dim_h, 1)
+    )
     # each message's labels in lexicographic order: sort by message, then by
     # the labels' base-d index
     d = ch.letter_dim
@@ -339,7 +338,7 @@ def build_plan(
         columns=columns,
         offsets=offsets,
         factors=tuple(_wy_factor(columns, offsets, *run) for run in _wy_runs(widths, dim_h)),
-        memo_slots=budgets.work_limit // (dim_h + 1 + 2 * len(tested)),
+        memo_slots=budgets.fit(dim_h + 1 + 2 * len(tested)),
     )
 
 
@@ -475,18 +474,12 @@ def verify_mixture_identity(
     """
     n, d = params.n, ch.letter_dim
     dim_h = model.dim_H
-    if dim_h * dim_h > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"{dim_h}x{dim_h} mixture block exceeds work budget", reason="work"
-        )
+    budgets.require(f"{dim_h}x{dim_h} mixture block", work=dim_h * dim_h)
     seqs = classical_typical_set(ch.priors, n, params.source_delta, budgets)
     cache = _ClassBlockCache(ch, n, params.cond_delta)
     keys, _, kind = cache.types(seqs, budgets)
     widest = d ** max((m for key in keys for _, m in key), default=0)
-    if widest * widest > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"{widest}x{widest} class operator exceeds work budget", reason="work"
-        )
+    budgets.require(f"{widest}x{widest} class operator", work=widest * widest)
     # joint-type ids: the counts of the pair symbols a_i d + b_i in base n + 1,
     # k symbols at a time and compacted to ids < dim_H^2 after each chunk, so
     # a code stays below dim_H^2 (n + 1)^k <= 2^63
@@ -513,7 +506,7 @@ def verify_mixture_identity(
     factors: dict[tuple[int, int], np.ndarray] = {}
     dtype = ch.coords[0].dtype
     values = np.zeros(reps.size, dtype=dtype)
-    chunk = max(1, budgets.work_limit // max(4 * reps.size, 1))
+    chunk = budgets.fit(4 * reps.size)
     for t, key in enumerate(keys):
         for j, m in key:
             if (j, m) not in factors:
@@ -630,10 +623,7 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     So completeness_defect checks the chain's arithmetic, not an identity.
     """
     dim_h = plan.model.dim_H
-    if dim_h * dim_h > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"{dim_h}x{dim_h} POVM accumulation exceeds work budget", reason="work"
-        )
+    budgets.require(f"{dim_h}x{dim_h} POVM accumulation", work=dim_h * dim_h)
     offsets = plan.offsets
     dtype = plan.columns.dtype
     chain = np.eye(dim_h, dtype=dtype)  # C_1 = P
@@ -669,11 +659,8 @@ class ErrorReport:
 
 
 def check_oracle_budget(dim: int, budgets: Budgets = DEFAULT_BUDGETS) -> None:
-    """Raise ResourceBudgetError(work) when the oracle's dense d^n x d^n outputs pass work_limit."""
-    if dim * dim > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"dense {dim}x{dim} output states exceed work budget", reason="work"
-        )
+    """The exact oracle's cost: its dense d^n x d^n outputs count against the work budget."""
+    budgets.require(f"dense {dim}x{dim} output states", work=dim * dim)
 
 
 def exact_error_probability(povm: POVMSet, budgets: Budgets = DEFAULT_BUDGETS) -> ErrorReport:

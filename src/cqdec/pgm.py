@@ -20,7 +20,6 @@ import numpy as np
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
 from .codebook import Codebook
-from .errors import ResourceBudgetError
 from .linalg import digit_table, product_entries
 
 _SUPPORT_CUTOFF = 1e-12
@@ -36,20 +35,13 @@ def pgm_error_probability(
     """
     d, n, n_msg = ch.letter_dim, codebook.n, codebook.num_messages
     dim = d**n
-    if dim > budgets.dim_limit:
-        raise ResourceBudgetError(
-            f"composite dimension {dim} exceeds dim budget {budgets.dim_limit}", reason="dim"
-        )
-    if dim * dim > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"dense {dim}x{dim} PGM mixture exceeds work budget", reason="work"
-        )
     supports = [sp.support for sp in ch.letters]
     widths = [math.prod(supports[j] for j in word) for word in codebook.codewords]
-    if dim * sum(widths) > budgets.work_limit:
-        raise ResourceBudgetError(
-            f"{dim}x{sum(widths)} codeword output factors exceed work budget", reason="work"
-        )
+    # one work count covers the d^n x d^n mixture and the d^n x K factor matrix
+    budgets.require(
+        f"PGM of a {dim}x{dim} mixture and {dim}x{sum(widths)} factors",
+        dim=dim, work=dim * max(dim, sum(widths)),
+    )
     table = np.concatenate(
         [u[:, :sp.support] * np.sqrt(sp.probs) for u, sp in zip(ch.coords, ch.letters)], axis=1
     )

@@ -37,7 +37,7 @@ import numpy as np
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .channel import CQChannel
-from .errors import ResourceBudgetError, ValidationError
+from .errors import ValidationError
 from .linalg import exp2, product_entries
 
 _WINDOW_WIDEN = 1e-9
@@ -161,12 +161,7 @@ def classical_typical_set(
     priors, n: int, delta_source: float, budgets: Budgets = DEFAULT_BUDGETS
 ) -> np.ndarray:
     """(count, n) int16 array of the letter sequences with typical frequencies, lexicographic."""
-    size = typical_set_size(priors, n, delta_source)
-    if size > budgets.set_limit:
-        raise ResourceBudgetError(
-            f"typical set has {size} members, over set budget {budgets.set_limit}",
-            reason="set",
-        )
+    budgets.require("typical set", set=typical_set_size(priors, n, delta_source))
     return _window_sequences(np.asarray(priors, dtype=float), n, delta_source, n)
 
 
@@ -223,11 +218,7 @@ class _ClassBlockCache:
         keys = [tuple((j, c) for j, c in enumerate(row) if c) for row in type_counts.tolist()]
         sizes = [self.type_size(key) for key in keys]
         total = sum(size * rows for size, rows in zip(sizes, np.bincount(kind).tolist()))
-        if total > budgets.set_limit:
-            raise ResourceBudgetError(
-                f"{total} (sequence, label) pairs exceed set budget {budgets.set_limit}",
-                reason="set",
-            )
+        budgets.require("(sequence, label) pairs", set=total)
         return keys, sizes, kind
 
     def type_table(self, key: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -342,11 +333,7 @@ def build_typical_model(
     expanded; no d^n-sized array is formed.
     """
     n, d = params.n, ch.letter_dim
-    dim = d**n
-    if dim > budgets.dim_limit:
-        raise ResourceBudgetError(
-            f"composite dimension {dim} exceeds dim budget {budgets.dim_limit}", reason="dim"
-        )
+    budgets.require("composite dimension d^n", dim=d**n)
     counts = np.array(_window_counts([0] * d, [n] * d, n))
     firsts = np.repeat(np.tile(np.arange(d), len(counts)), counts.ravel()).reshape(-1, n)
     s_rho = ch.avg_entropy
@@ -444,6 +431,7 @@ def build_rho_tilde(
         np.add.at(diag, r[keep], weights[keep])
         return MaskedHermitian(diag=diag)
 
+    budgets.require(f"{dim_h}x{dim_h} rho_tilde", work=dim_h * dim_h)
     # the letters' coords side by side: letter j's column k is table column j*d + k
     table = np.concatenate(ch.coords, axis=1)
     cols = labels + d * words
@@ -451,7 +439,7 @@ def build_rho_tilde(
     # a chunk keeps two (dim_H, chunk) arrays alive: in product_entries the
     # product and one factor, here the weighted block and the block, which is
     # conjugated in place; together they stay within work_limit
-    chunk = max(1, budgets.work_limit // max(2 * dim_h, 1))
+    chunk = budgets.fit(2 * dim_h)
     for at in range(0, cols.shape[0], chunk):
         block = product_entries([table] * n, model.masked_digits, cols[at:at + chunk])
         weighted = block * weights[at:at + chunk]

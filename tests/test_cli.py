@@ -135,6 +135,8 @@ class TestVerify:
          {"mixture_identity": "skip:work", "povm": "skip:work"}),
         # S(rho) is at most 1 bit for qubit letters
         ("delta = 1.5", {"amplitude_lower": "skip:delta_above_entropy"}),
+        # dim_H = 3: the dense 3 x 3 rho_tilde is one number over work_budget
+        ("work_budget = 8", {"rho_tilde": "skip:work"}),
     ])
     def test_each_skip_row_is_reached_by_a_config(self, tmp_path, lines, skips):
         replaced = {line.partition("=")[0].strip() for line in lines.splitlines()}

@@ -102,9 +102,14 @@ class TestSampleCodebook:
             sample_codebook(ch, 3, 0.0, 0.01, seed=1)
 
     def test_cap_exceeded(self):
+        # 2^8 = 256 codewords: one over a limit of 255
         ch = builtin_channel("classical_bit")
-        with pytest.raises(ResourceBudgetError):
-            sample_codebook(ch, 8, 1.0, 0.5, seed=1, budgets=Budgets(set_limit=100))
+        for limit in (100, 255):
+            with pytest.raises(ResourceBudgetError) as exc:
+                sample_codebook(ch, 8, 1.0, 0.5, seed=1, budgets=Budgets(set_limit=limit))
+            assert exc.value.reason == "set"
+        cb = sample_codebook(ch, 8, 1.0, 0.5, seed=1, budgets=Budgets(set_limit=256))
+        assert cb.num_messages == 256
 
 
 class TestSerialization:

@@ -127,9 +127,10 @@ class TestBuildPlan:
         cb = sample_codebook(ch, 6, 0.9, 0.2, seed=7)
         assert (cb.num_messages, len(set(cb.codewords))) == (43, 30)
         params = TypicalityParams(n=6, delta=0.2)
-        with pytest.raises(ResourceBudgetError) as exc:
-            build_plan(cb, ch, params, budgets=Budgets(work_limit=180))
-        assert exc.value.reason == "work"
+        for limit in (180, 257):
+            with pytest.raises(ResourceBudgetError) as exc:
+                build_plan(cb, ch, params, budgets=Budgets(work_limit=limit))
+            assert exc.value.reason == "work"
         plan = build_plan(cb, ch, params, budgets=Budgets(work_limit=258))
         assert plan.model.dim_H == 6
         assert plan.columns.size == 258

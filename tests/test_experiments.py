@@ -77,9 +77,13 @@ class TestRunPoint:
     def test_budget_skip_reason(self):
         cfg = make_config()
         ch = builtin_channel("pure_pair", overlap=0.5)
-        res = run_point(ch, cfg, 4, 0.25, "rank_one", seed=99, budgets=Budgets(dim_limit=4))
-        assert res.status == "skipped"
-        assert res.reason == "dim"
+        # d^n = 16: one over a limit of 15
+        for limit in (4, 15):
+            res = run_point(ch, cfg, 4, 0.25, "rank_one", seed=99, budgets=Budgets(dim_limit=limit))
+            assert res.status == "skipped"
+            assert res.reason == "dim"
+        res = run_point(ch, cfg, 4, 0.25, "rank_one", seed=99, budgets=Budgets(dim_limit=16))
+        assert res.status == "ok"
 
     def test_dense_outputs_over_work_budget_skip_the_exact_oracle(self, monkeypatch):
         # d^n = 16: the plan and the POVM on H fit 255 numbers, the oracle's
@@ -88,6 +92,8 @@ class TestRunPoint:
         cfg = make_config(exact="always")
         ch = builtin_channel("pure_pair", overlap=0.5)
         assert run_point(ch, cfg, 4, 0.25, "rank_one", seed=99).status == "ok"
+        fits = run_point(ch, cfg, 4, 0.25, "rank_one", seed=99, budgets=Budgets(work_limit=256))
+        assert fits.status == "ok" and fits.exact_err is not None
         calls = []
         monkeypatch.setattr(experiments, "build_povm", lambda *a, **k: calls.append("povm"))
         monkeypatch.setattr(experiments, "simulate_trial", lambda *a, **k: calls.append("trial"))

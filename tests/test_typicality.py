@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cqdec import typicality
 from cqdec.budgets import Budgets
 from cqdec.channel import builtin_channel, make_channel
 from cqdec.errors import ResourceBudgetError, ValidationError
@@ -83,8 +84,12 @@ class TestClassicalTypicalSet:
         assert is_typical_sequence([0.5, 0.5], block, 0.0).tolist() == [True, False]
 
     def test_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            classical_typical_set([0.5, 0.5], 10, 0.5, budgets=Budgets(set_limit=16))
+        # every one of the 1024 sequences is typical: one over a limit of 1023
+        for limit in (16, 1023):
+            with pytest.raises(ResourceBudgetError) as exc:
+                classical_typical_set([0.5, 0.5], 10, 0.5, budgets=Budgets(set_limit=limit))
+            assert exc.value.reason == "set"
+        assert classical_typical_set([0.5, 0.5], 10, 0.5, Budgets(set_limit=1024)).shape[0] == 1024
 
 
 def one_word(ch, word, delta_cond):
@@ -201,9 +206,33 @@ class TestTypicalModel:
         assert model.dim_H == dim_expected
 
     def test_budget(self):
+        # d^n = 32: one over a limit of 31
         ch = builtin_channel("classical_bit")
-        with pytest.raises(ResourceBudgetError):
-            build_typical_model(ch, TypicalityParams(n=5, delta=0.1), budgets=Budgets(dim_limit=16))
+        params = TypicalityParams(n=5, delta=0.1)
+        for limit in (16, 31):
+            with pytest.raises(ResourceBudgetError) as exc:
+                build_typical_model(ch, params, budgets=Budgets(dim_limit=limit))
+            assert exc.value.reason == "dim"
+        assert build_typical_model(ch, params, budgets=Budgets(dim_limit=32)).dim_total == 32
+
+    def test_dim_budget_stops_below_int64_indices(self):
+        # every d^n index is int64, so no dim_limit admits d^n > 2^63: 3^41
+        # would wrap masked_indices, and 3^40 > 2^63 too, although this
+        # window's indices stay below 2^63.  2^63 is the last d^n that fits,
+        # its largest index 2^63 - 1
+        ch = make_channel([1.0], [np.diag([0.98, 0.01, 0.01])])
+        for n in (40, 41):
+            with pytest.raises(ResourceBudgetError) as exc:
+                build_typical_model(ch, TypicalityParams(n=n, delta=0.05), Budgets(dim_limit=3**n))
+            assert exc.value.reason == "dim"
+        ch = make_channel([1.0], [np.diag([0.98, 0.02])])
+        with pytest.raises(ResourceBudgetError) as exc:
+            build_typical_model(ch, TypicalityParams(n=64, delta=0.05), Budgets(dim_limit=2**64))
+        assert exc.value.reason == "dim"
+        model = build_typical_model(ch, TypicalityParams(n=63, delta=0.05), Budgets(dim_limit=2**64))
+        ix = model.masked_indices
+        assert model.dim_H == 63 and ix[0] == 1 and ix[-1] == 2**62
+        assert np.all(np.diff(ix) > 0)
 
     def test_model_holds_no_array_of_every_label(self):
         # d^n = 65536 labels, 17 count vectors, 680 kept: a scan of every
@@ -312,16 +341,39 @@ class TestRhoTilde:
         ("trine", {}, 5),
         ("pure_pair", {"overlap": COS45}, 6),
     ])
-    def test_chunked_sum_matches_one_chunk(self, name, kwargs, n):
-        # a work budget of 7 dim_H-sized columns, 3 columns a chunk, splits the
-        # pairs mid-sequence
+    def test_chunked_sum_matches_one_chunk(self, monkeypatch, name, kwargs, n):
+        # the smallest work budget the dense accumulator admits, dim_H^2, or 7
+        # dim_H-sized columns where that is more, runs several chunks:
+        # depolarized_pair's dim_H = 41 takes 20 columns a chunk, which splits
+        # a sequence's 49 labels, trine's 32 takes 16 and pure_pair's 6 takes 3
         ch = builtin_channel(name, **kwargs)
         params = TypicalityParams(n=n, delta=0.3)
         model = build_typical_model(ch, params)
         one = build_rho_tilde(ch, params, model)
-        chunked = build_rho_tilde(ch, params, model, budgets=Budgets(work_limit=7 * model.dim_H))
+        calls = []
+        real = typicality.product_entries
+        monkeypatch.setattr(typicality, "product_entries",
+                            lambda *args: calls.append(1) or real(*args))
+        budgets = Budgets(work_limit=max(model.dim_H**2, 7 * model.dim_H))
+        chunked = build_rho_tilde(ch, params, model, budgets=budgets)
         assert model.dim_H > 0 and not one.is_diagonal
+        assert len(calls) > 1
         assert np.abs(chunked.as_dense() - one.as_dense()).max() <= 1e-15
+
+    def test_dense_accumulator_counts_against_the_work_budget(self):
+        # the dim_H x dim_H accumulator is refused before it is allocated; a
+        # classical channel's diagonal rho_tilde is not counted
+        ch = builtin_channel("depolarized_pair", overlap=0.5, noise=0.3)
+        params = TypicalityParams(n=6, delta=0.3)
+        model = build_typical_model(ch, params)
+        assert model.dim_H == 41
+        with pytest.raises(ResourceBudgetError) as exc:
+            build_rho_tilde(ch, params, model, budgets=Budgets(work_limit=41 * 41 - 1))
+        assert exc.value.reason == "work"
+        assert build_rho_tilde(ch, params, model, Budgets(work_limit=41 * 41)).dim == 41
+        ch = builtin_channel("classical_bit")
+        model = build_typical_model(ch, params)
+        assert build_rho_tilde(ch, params, model, Budgets(work_limit=1)).is_diagonal
 
     def test_dense_chunks_stay_within_the_work_budget(self):
         # the chunk's live arrays together hold at most work_limit complex
@@ -358,8 +410,12 @@ class TestRhoTilde:
         assert build_rho_tilde(ch, params, model).dense.tobytes() == ref.tobytes()
 
     def test_pair_budget(self):
+        # every sequence typical, one label each: 64 (sequence, label) pairs
         ch = builtin_channel("classical_bit")
         params = TypicalityParams(n=6, delta=2.0)
         model = build_typical_model(ch, params)
-        with pytest.raises(ResourceBudgetError):
-            build_rho_tilde(ch, params, model, budgets=Budgets(set_limit=8))
+        for limit in (8, 63):
+            with pytest.raises(ResourceBudgetError) as exc:
+                build_rho_tilde(ch, params, model, budgets=Budgets(set_limit=limit))
+            assert exc.value.reason == "set"
+        assert build_rho_tilde(ch, params, model, budgets=Budgets(set_limit=64)).dim == 64
