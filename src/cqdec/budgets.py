@@ -24,9 +24,9 @@ Every d^n index is int64, so the dim budget never admits more than 2^63,
 whatever ``dim_limit`` says.  ``fit`` sizes what work_limit bounds besides:
 the Monte Carlo memo's slots and the rho_tilde and mixture-identity chunks.
 
-A config's dim_budget, set_budget and work_budget keys replace the
-defaults, and the environment variables CQDEC_DIM_BUDGET, CQDEC_SET_BUDGET
-and CQDEC_WORK_BUDGET replace both; each must be an integer >= 1.
+For each reason (dim, set, work), a config's <reason>_budget key replaces
+the default, and the environment variable CQDEC_<REASON>_BUDGET replaces
+both; either must be an integer no smaller than the config schema's.
 """
 
 from __future__ import annotations
@@ -34,20 +34,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .config import ExperimentConfig
+from .config import NUMBER_KEYS, ExperimentConfig
 from .errors import ConfigError, ResourceBudgetError
 
 DEFAULT_DIM_LIMIT = 4096
 DEFAULT_SET_LIMIT = 2**20
 DEFAULT_WORK_LIMIT = 2**24
 _INDEX_DIM_CAP = 2**63  # d^n indices 0 .. d^n - 1 fit int64
-
-# each limit's config key and environment override
-_SOURCES = {
-    "dim_limit": ("dim_budget", "CQDEC_DIM_BUDGET"),
-    "set_limit": ("set_budget", "CQDEC_SET_BUDGET"),
-    "work_limit": ("work_budget", "CQDEC_WORK_BUDGET"),
-}
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,8 @@ class Budgets:
     def resolve(cls, cfg: ExperimentConfig) -> "Budgets":
         """The budgets of an experiment config: its keys over the defaults, the environment over both."""
         values = {}
-        for field, (key, env) in _SOURCES.items():
+        for reason in ("dim", "set", "work"):
+            key, env = f"{reason}_budget", f"CQDEC_{reason.upper()}_BUDGET"
             raw = os.environ.get(env)
             if raw is None:
                 value = getattr(cfg, key)
@@ -69,10 +63,11 @@ class Budgets:
                     value = int(raw)
                 except ValueError:
                     raise ConfigError(f"{env} must be an integer, got {raw!r}") from None
-                if value < 1:
-                    raise ConfigError(f"{env} must be >= 1, got {raw!r}")
+                least = NUMBER_KEYS[key][2]
+                if value < least:
+                    raise ConfigError(f"{env} must be >= {least}, got {raw!r}")
             if value is not None:
-                values[field] = value
+                values[f"{reason}_limit"] = value
         return cls(**values)
 
     def require(self, what: str, *, dim: int = 0, set: int = 0, work: int = 0) -> None:

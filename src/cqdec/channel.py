@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import as_number, as_numbers
+from .config import BUILTIN_PARAMS, as_number, as_numbers, builtin_params
 from .errors import ConfigError, ValidationError
 from .linalg import (
     TOL_EIG,
@@ -240,8 +240,7 @@ def builtin_channel(name: str, **params) -> CQChannel:
     return make_channel(priors, outs)
 
 
-_CHANNEL_FILE_KEYS = {"builtin", "overlap", "flip", "noise", "letter_dim", "priors", "outputs"}
-_BUILTIN_PARAM_KEYS = {"overlap", "flip", "noise"}
+_CHANNEL_FILE_KEYS = {"builtin", *BUILTIN_PARAMS, "letter_dim", "priors", "outputs"}
 
 
 def _entry(e, name: str) -> complex:
@@ -264,10 +263,8 @@ def parse_channel_document(doc: dict) -> CQChannel:
     if unknown:
         raise ConfigError(f"unknown channel keys: {sorted(unknown)}")
     if "builtin" in doc:
-        name = doc["builtin"]
-        params = {k: as_number(doc[k], float, k) for k in _BUILTIN_PARAM_KEYS if k in doc}
         try:
-            return builtin_channel(name, **params)
+            return builtin_channel(doc["builtin"], **builtin_params(doc))
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
     for key in ("letter_dim", "priors", "outputs"):

@@ -13,9 +13,9 @@ import sys
 
 from .budgets import Budgets
 from .bounds import check_amplitude_lower_bound, check_trace_power_bounds
-from .channel import CQChannel, builtin_channel, holevo_chi, parse_channel_document
+from .channel import CQChannel, holevo_chi, parse_channel_document
 from .codebook import sample_codebook
-from .config import ExperimentConfig, load_experiment_config, parse_kv_text
+from .config import VARIANTS, ExperimentConfig, load_experiment_config, parse_kv_text
 from .decoder import average_amplitude, build_plan, build_povm, verify_mixture_identity
 from .errors import ConfigError, CqdecError, ResourceBudgetError, ValidationError
 from .experiments import CSV_COLUMNS, point_seed, run_grid, typicality_params
@@ -31,17 +31,14 @@ def _fmt(value) -> str:
 
 
 def resolve_channel(cfg: ExperimentConfig) -> CQChannel:
-    if cfg.channel == "file":
-        try:
-            with open(cfg.channel_file, "r", encoding="utf-8") as fh:
-                doc = parse_kv_text(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read channel file: {exc}") from exc
-        return parse_channel_document(doc)
+    """The config's channel: a builtin takes the same path as a channel file naming it."""
+    if cfg.channel != "file":
+        return parse_channel_document({"builtin": cfg.channel, **cfg.channel_params})
     try:
-        return builtin_channel(cfg.channel, **cfg.channel_params)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+        with open(cfg.channel_file, "r", encoding="utf-8") as fh:
+            return parse_channel_document(parse_kv_text(fh.read()))
+    except OSError as exc:
+        raise ConfigError(f"cannot read channel file: {exc}") from exc
 
 
 def _emit_table(rows: list[dict], columns: tuple[str, ...], fmt: str, out_path: str | None):
@@ -67,7 +64,7 @@ def _emit_table(rows: list[dict], columns: tuple[str, ...], fmt: str, out_path: 
 
 _VERIFY_COLUMNS = ("n", "delta", "check", "index", "lhs", "rhs", "status")
 # The decoder variants of each grid command; None runs the config's.
-_GRID_VARIANTS = {"simulate": None, "compare": ("rank_one", "subspace", "pgm")}
+_GRID_VARIANTS = {"simulate": None, "compare": VARIANTS}
 
 
 def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[dict]:
@@ -108,12 +105,9 @@ def _verify_point(ch, cfg: ExperimentConfig, n: int, budgets: Budgets) -> list[d
         model.dim_H,
         model.dim_cap,
     )
-    add(
-        "capture_target",
-        "info" if model.meets_epsilon_target else "info:below_target",
-        model.trace_bar,
-        1.0 - cfg.epsilon_target,
-    )
+    target = 1.0 - cfg.epsilon_target  # reported, never asserted at finite n
+    add("capture_target", "info" if model.trace_bar > target else "info:below_target",
+        model.trace_bar, target)
     try:
         rho_tilde = build_rho_tilde(ch, params, model, budgets)
     except ResourceBudgetError as exc:

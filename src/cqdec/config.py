@@ -37,30 +37,30 @@ def parse_kv_text(text: str) -> dict:
     return doc
 
 
+# Every number key of an experiment config: key -> (ExperimentConfig field,
+# int or float, smallest value).  A _grid key takes a non-empty JSON list of
+# them, none twice.
+NUMBER_KEYS = {
+    "n_grid": ("n_grid", int, 1),
+    "R_grid": ("r_grid", float, 0),
+    "delta": ("delta", float, 0),
+    "delta_source": ("delta_source", float, 0),
+    "delta_cond": ("delta_cond", float, 0),
+    "trials": ("trials", int, 0),
+    "seed": ("seed", int, 0),
+    "m_max": ("m_max", int, 0),
+    "dim_budget": ("dim_budget", int, 1),
+    "set_budget": ("set_budget", int, 1),
+    "work_budget": ("work_budget", int, 1),
+}
+# the builtin channels' parameters, in a config and in a channel document
+BUILTIN_PARAMS = ("overlap", "flip", "noise")
 _CONFIG_KEYS = {
-    "channel",
-    "channel_file",
-    "overlap",
-    "flip",
-    "noise",
-    "n_grid",
-    "R_grid",
-    "delta",
-    "delta_source",
-    "delta_cond",
-    "epsilon_target",
-    "trials",
-    "seed",
-    "variants",
-    "distinct_codewords",
-    "exact",
-    "m_max",
-    "dim_budget",
-    "set_budget",
-    "work_budget",
+    "channel", "channel_file", *BUILTIN_PARAMS, *NUMBER_KEYS,
+    "epsilon_target", "variants", "distinct_codewords", "exact",
 }
 
-_VARIANTS = ("rank_one", "subspace", "pgm")
+VARIANTS = ("rank_one", "subspace", "pgm")
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,16 @@ def as_numbers(value, caster, key):
     return tuple(as_number(v, caster, key) for v in value)
 
 
+def builtin_params(doc: dict) -> dict:
+    """The builtin channel parameters of a config or channel document, as floats."""
+    return {k: as_number(doc[k], float, k) for k in BUILTIN_PARAMS if k in doc}
+
+
+def _distinct(key: str, values: tuple) -> None:
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"'{key}' must list at least one entry, none twice")
+
+
 def experiment_config_from_document(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
@@ -127,36 +137,36 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
     if channel != "file" and channel_file:
         raise ConfigError("'channel_file' is only valid with channel = file")
 
-    params = {k: as_number(doc[k], float, k) for k in ("overlap", "flip", "noise") if k in doc}
-
-    kwargs: dict = {"channel": channel, "channel_file": channel_file, "channel_params": params}
-    if "n_grid" in doc:
-        kwargs["n_grid"] = as_numbers(doc["n_grid"], int, "n_grid")
-    if "R_grid" in doc:
-        kwargs["r_grid"] = as_numbers(doc["R_grid"], float, "R_grid")
-    for key, caster in (
-        ("delta", float),
-        ("delta_source", float),
-        ("delta_cond", float),
-        ("epsilon_target", float),
-        ("trials", int),
-        ("seed", int),
-        ("m_max", int),
-        ("dim_budget", int),
-        ("set_budget", int),
-        ("work_budget", int),
-    ):
-        if key in doc:
-            kwargs[key] = as_number(doc[key], caster, key)
+    kwargs: dict = {
+        "channel": channel, "channel_file": channel_file, "channel_params": builtin_params(doc)
+    }
+    for key, (name, caster, least) in NUMBER_KEYS.items():
+        if key not in doc:
+            continue
+        if key.endswith("_grid"):
+            value = as_numbers(doc[key], caster, key)
+            _distinct(key, value)
+            if min(value) < least:
+                raise ConfigError(f"'{key}' entries must be >= {least}")
+        else:
+            value = as_number(doc[key], caster, key)
+            if value < least:
+                raise ConfigError(f"'{key}' must be >= {least}")
+        kwargs[name] = value
+    if "epsilon_target" in doc:
+        target = as_number(doc["epsilon_target"], float, "epsilon_target")
+        if not 0.0 < target < 1.0:
+            raise ConfigError("'epsilon_target' must be in (0, 1)")
+        kwargs["epsilon_target"] = target
     if "variants" in doc:
         variants = doc["variants"]
         if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
             raise ConfigError("'variants' must be a JSON list of names")
-        variants = tuple(variants)
-        bad = set(variants) - set(_VARIANTS)
+        bad = set(variants) - set(VARIANTS)
         if bad:
-            raise ConfigError(f"unknown variants {sorted(bad)}; valid: {_VARIANTS}")
-        kwargs["variants"] = variants
+            raise ConfigError(f"unknown variants {sorted(bad)}; valid: {VARIANTS}")
+        _distinct("variants", variants)
+        kwargs["variants"] = tuple(variants)
     if "distinct_codewords" in doc:
         if not isinstance(doc["distinct_codewords"], bool):
             raise ConfigError("'distinct_codewords' must be true or false")
@@ -168,32 +178,7 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
         if value not in ("auto", "always", "never"):
             raise ConfigError("'exact' must be auto, always, never, true or false")
         kwargs["exact"] = value
-
-    cfg = ExperimentConfig(**kwargs)
-    if cfg.trials < 0:
-        raise ConfigError("'trials' must be >= 0")
-    if cfg.seed < 0:
-        raise ConfigError("'seed' must be >= 0")
-    if cfg.m_max < 0:
-        raise ConfigError("'m_max' must be >= 0")
-    for key, values in (("n_grid", cfg.n_grid), ("R_grid", cfg.r_grid), ("variants", cfg.variants)):
-        if not values or len(set(values)) < len(values):
-            raise ConfigError(f"'{key}' must list at least one entry, none twice")
-    if any(n < 1 for n in cfg.n_grid):
-        raise ConfigError("'n_grid' entries must be >= 1")
-    if any(r < 0 for r in cfg.r_grid):
-        raise ConfigError("'R_grid' entries must be >= 0")
-    for key in ("delta", "delta_source", "delta_cond"):
-        value = getattr(cfg, key)
-        if value is not None and value < 0:
-            raise ConfigError(f"'{key}' must be >= 0")
-    if not 0.0 < cfg.epsilon_target < 1.0:
-        raise ConfigError("'epsilon_target' must be in (0, 1)")
-    for key in ("dim_budget", "set_budget", "work_budget"):
-        value = getattr(cfg, key)
-        if value is not None and value < 1:
-            raise ConfigError(f"'{key}' must be >= 1")
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def load_experiment_config(path: str, seed: int | None = None) -> ExperimentConfig:

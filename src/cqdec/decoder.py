@@ -310,14 +310,9 @@ def build_plan(
     budgets.require(
         f"masked test blocks {dim_h}x{labels.shape[0]}", work=labels.shape[0] * max(dim_h, 1)
     )
-    # each message's labels in lexicographic order: sort by message, then by
-    # the labels' base-d index
-    d = ch.letter_dim
+    # each message's labels in lexicographic order: by message, then digit by digit
     owner = np.repeat(np.arange(codebook.num_messages), counts)
-    key = owner
-    for column in labels.T:
-        key = key * d + column
-    labels = labels[np.argsort(key, kind="stable")]
+    labels = labels[np.lexsort((*labels.T[::-1], owner))]
     if variant == RANK_ONE:
         tested = owner.tolist()
         widths = [1] * len(tested)
@@ -326,7 +321,7 @@ def build_plan(
     # the letters' coords side by side: letter j's column k is table column j*d + k,
     # so one product_entries call gives every test column, in schedule order
     table = np.concatenate(ch.coords, axis=1)
-    cols = labels + d * np.repeat(words, counts, axis=0)
+    cols = labels + ch.letter_dim * np.repeat(words, counts, axis=0)
     # computed as (K, dim_H), so the (dim_H, K) columns are Fortran-ordered
     columns = product_entries([table.T] * params.n, cols, model.masked_digits).T
     offsets = np.cumsum([0] + widths)

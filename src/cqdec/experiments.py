@@ -86,13 +86,7 @@ CSV_COLUMNS = tuple(_CSV_NAMES.get(f.name, f.name) for f in fields(PointResult))
 
 def typicality_params(cfg: ExperimentConfig, n: int) -> TypicalityParams:
     """The config's typicality windows at block length n."""
-    return TypicalityParams(
-        n=n,
-        delta=cfg.delta,
-        delta_source=cfg.delta_source,
-        delta_cond=cfg.delta_cond,
-        epsilon_target=cfg.epsilon_target,
-    )
+    return TypicalityParams(n, cfg.delta, cfg.delta_source, cfg.delta_cond)
 
 
 def run_point(

@@ -50,15 +50,12 @@ class TypicalityParams:
 
     ``delta`` is used for the output entropy window and, unless overridden,
     for the source and conditional frequency windows as well.
-    ``epsilon_target`` is only a reporting target for Tr rho_bar; nothing is
-    asserted against it at finite n.
     """
 
     n: int
     delta: float
     delta_source: float | None = None
     delta_cond: float | None = None
-    epsilon_target: float = 0.1
 
     def __post_init__(self):
         if self.n < 1:
@@ -67,8 +64,6 @@ class TypicalityParams:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value}")
-        if not 0.0 < self.epsilon_target < 1.0:
-            raise ValidationError("epsilon_target must be in (0, 1)")
 
     @property
     def source_delta(self) -> float:
@@ -293,7 +288,6 @@ class TypicalModel:
     n: int
     letter_dim: int
     delta: float
-    epsilon_target: float
     s_rho: float
     masked_indices: np.ndarray
     masked_digits: np.ndarray  # (dim_H, n) eigenlabel digits of the kept basis vectors
@@ -307,10 +301,6 @@ class TypicalModel:
     @property
     def dim_H(self) -> int:
         return int(self.masked_indices.shape[0])
-
-    @property
-    def meets_epsilon_target(self) -> bool:
-        return self.trace_bar > 1.0 - self.epsilon_target
 
     @property
     def eigenvalue_cap(self) -> float:
@@ -348,7 +338,6 @@ def build_typical_model(
         n=n,
         letter_dim=d,
         delta=params.delta,
-        epsilon_target=params.epsilon_target,
         s_rho=s_rho,
         masked_indices=masked_indices,
         masked_digits=digits,

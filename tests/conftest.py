@@ -353,7 +353,6 @@ def reference_typical_model(ch, params) -> TypicalModel:
         n=n,
         letter_dim=d,
         delta=params.delta,
-        epsilon_target=params.epsilon_target,
         s_rho=ch.avg_entropy,
         masked_indices=np.nonzero(mask)[0],
         masked_digits=digits[mask],

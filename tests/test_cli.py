@@ -1,11 +1,17 @@
 import csv
+import json
 import math
 
 import pytest
 
 from cqdec import cli, experiments
 from cqdec.cli import main
-from cqdec.config import experiment_config_from_document, parse_kv_text
+from cqdec.config import (
+    NUMBER_KEYS,
+    experiment_config_from_document,
+    load_experiment_config,
+    parse_kv_text,
+)
 from cqdec.errors import ConfigError, ResourceBudgetError, ValidationError
 
 
@@ -24,6 +30,13 @@ delta = 0.3
 trials = 200
 seed = 7
 """
+
+
+def with_line(line):
+    """BASE_CONFIG with ``line`` in place of its line for the same key, or appended."""
+    key = line.partition("=")[0].strip()
+    kept = [x for x in BASE_CONFIG.splitlines() if x.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
 
 
 class TestConfigParsing:
@@ -90,6 +103,40 @@ class TestCapacity:
         assert main(["capacity", "--config", cfg]) == 0
         chi = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[1])
         assert abs(chi - 1.0) < 1e-9
+
+
+BUILTIN_EXAMPLES = {
+    "pure_pair": "overlap = 0.6\n",
+    "classical_bit": "flip = 0.1\n",
+    "depolarized_pair": "overlap = 0.5\nnoise = 0.3\n",
+    "trine": "",
+}
+
+
+class TestBuiltinChannels:
+    """A builtin named in a config and one named in a channel file take one path."""
+
+    def configs(self, tmp_path, name, params, grid=""):
+        chan = tmp_path / "chan.cfg"
+        chan.write_text(f"builtin = {name}\n{params}")
+        return (write_config(tmp_path, f"channel = {name}\n{params}{grid}", "named.cfg"),
+                write_config(tmp_path, f"channel = file\nchannel_file = {chan}\n{grid}",
+                             "filed.cfg"))
+
+    @pytest.mark.parametrize("name", BUILTIN_EXAMPLES)
+    def test_same_simulate_bytes_on_both_paths(self, tmp_path, name):
+        grid = "n_grid = [3, 4]\nR_grid = [0.5]\ndelta = 0.3\ntrials = 50\nseed = 3\n"
+        outs = []
+        for i, cfg in enumerate(self.configs(tmp_path, name, BUILTIN_EXAMPLES[name], grid)):
+            out = tmp_path / f"out{i}.csv"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_out_of_range_parameter_exits_1_on_both_paths(self, tmp_path, capsys):
+        for cfg in self.configs(tmp_path, "classical_bit", "flip = 2.0\n"):
+            assert main(["capacity", "--config", cfg]) == 1
+            assert "config error: flip must be in [0, 1], got 2.0" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -398,10 +445,27 @@ class TestExitCodes:
         ("simulate", "set_budget = 0"),
         ("simulate", "work_budget = -5"),
         ("verify", "m_max = -1"),
+        ("simulate", "trials = -1"),
+        ("simulate", "n_grid = [4, 0]"),
+        ("compare", "R_grid = [-0.25]"),
     ])
-    def test_out_of_range_value_is_a_config_error(self, tmp_path, command, line):
-        cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, command, line):
+        key = line.partition("=")[0].strip()
+        cfg = write_config(tmp_path, with_line(line))
         assert main([command, "--config", cfg]) == 1
+        assert f"config error: '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    def test_each_number_key_takes_its_smallest_value_and_nothing_below(self, tmp_path, capsys,
+                                                                          key):
+        field, caster, least = NUMBER_KEYS[key]
+        below = least - 1 if caster is int else math.nextafter(least, -math.inf)
+        grid = key.endswith("_grid")
+        cfg = write_config(tmp_path, with_line(f"{key} = {json.dumps([least] if grid else least)}"))
+        assert getattr(load_experiment_config(cfg), field) == ((least,) if grid else least)
+        cfg = write_config(tmp_path, with_line(f"{key} = {json.dumps([below] if grid else below)}"))
+        assert main(["capacity", "--config", cfg]) == 1
+        assert f"config error: '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, line", [
         ("simulate", "overlap = abc"),
@@ -416,13 +480,19 @@ class TestExitCodes:
         ("simulate", "n_grid = [true, 4]"),
         ("simulate", "R_grid = [\"0.25\"]"),
         ("simulate", "variants = [1]"),
+        ("simulate", "m_max = 1.5"),
+        ("simulate", 'seed = "7"'),
+        ("simulate", "dim_budget = [8]"),
+        ("simulate", 'delta_cond = "0.1"'),
+        ("simulate", "epsilon_target = null"),
+        ("simulate", "noise = false"),
+        ("simulate", "exact = 1"),
+        ("simulate", "distinct_codewords = 0"),
     ])
-    def test_value_of_the_wrong_type_is_a_config_error(self, tmp_path, command, line):
-        # the line replaces the base config's line for the same key
+    def test_value_of_the_wrong_type_is_a_config_error(self, tmp_path, capsys, command, line):
         key = line.partition("=")[0].strip()
-        kept = [x for x in BASE_CONFIG.splitlines() if x.partition("=")[0].strip() != key]
-        cfg = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
-        assert main([command, "--config", cfg]) == 1
+        assert main([command, "--config", write_config(tmp_path, with_line(line))]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, line", [
         ("verify", "R_grid = []"),
@@ -433,10 +503,7 @@ class TestExitCodes:
         ("simulate", 'variants = ["rank_one", "rank_one"]'),
     ])
     def test_empty_or_repeated_grid_is_a_config_error(self, tmp_path, command, line):
-        key = line.partition("=")[0].strip()
-        kept = [x for x in BASE_CONFIG.splitlines() if x.partition("=")[0].strip() != key]
-        cfg = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
-        assert main([command, "--config", cfg]) == 1
+        assert main([command, "--config", write_config(tmp_path, with_line(line))]) == 1
 
     @pytest.mark.parametrize("document", [
         pytest.param('letter_dim = "x"\npriors = [0.5, 0.5]\n'

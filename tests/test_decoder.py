@@ -28,6 +28,7 @@ from cqdec.typicality import (
     TypicalityParams,
     build_rho_tilde,
     build_typical_model,
+    conditional_labels,
 )
 
 from conftest import (
@@ -167,6 +168,23 @@ class TestBuildPlan:
         assert len(plan.memo) == plan.memo_slots
         assert all(plan.model.dim_H + len(c.masses) <= slot for c in plan.memo.values())
         assert build_plan(cb, ch, params).memo_slots == Budgets().work_limit // slot
+
+    def test_label_order_past_int64_keys(self):
+        # N * d^n = 2^64: a (message, base-d label index) key would wrap in
+        # int64, so each message's labels must be sorted digit by digit
+        ch = make_channel([0.5, 0.5], [np.diag([0.999, 0.001]), np.diag([0.99, 0.01])])
+        words = ((0,) * 32 + (1,) * 31, (1,) * 32 + (0,) * 31)
+        cb = Codebook(n=63, rate=0.0, seed=0, delta_source=0.0, distinct=False, codewords=words)
+        plan = build_plan(cb, ch, TypicalityParams(n=63, delta=0.1, delta_cond=0.02),
+                          budgets=Budgets(dim_limit=2**63))
+        blocks = []
+        for word in words:
+            labels = conditional_labels(ch, np.array([word]), 0.02)[0]
+            blocks.append(product_entries([ch.coords[j] for j in word], plan.model.masked_digits,
+                                          np.array(sorted(labels.tolist()))))
+        ref = np.concatenate(blocks, axis=1)
+        assert plan.columns.shape == ref.shape
+        assert plan.columns.tobytes(order="F") == ref.tobytes(order="F")
 
     def test_bad_arguments(self):
         ch = builtin_channel("pure_pair", overlap=0.5)
