@@ -262,11 +262,17 @@ def parse_channel_document(doc: dict) -> CQChannel:
     unknown = set(doc) - _CHANNEL_FILE_KEYS
     if unknown:
         raise ConfigError(f"unknown channel keys: {sorted(unknown)}")
+    matrix_keys = [k for k in ("letter_dim", "priors", "outputs") if k in doc]
     if "builtin" in doc:
+        if matrix_keys:
+            raise ConfigError(f"'builtin' is not valid next to {matrix_keys}")
         try:
             return builtin_channel(doc["builtin"], **builtin_params(doc))
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
+    stray = [k for k in BUILTIN_PARAMS if k in doc]
+    if stray:
+        raise ConfigError(f"builtin parameters {stray} are only valid with 'builtin'")
     for key in ("letter_dim", "priors", "outputs"):
         if key not in doc:
             raise ConfigError(f"channel document missing key '{key}'")

@@ -136,6 +136,9 @@ def experiment_config_from_document(doc: dict) -> ExperimentConfig:
         raise ConfigError("channel = file requires 'channel_file'")
     if channel != "file" and channel_file:
         raise ConfigError("'channel_file' is only valid with channel = file")
+    stray = [k for k in BUILTIN_PARAMS if k in doc]
+    if channel == "file" and stray:
+        raise ConfigError(f"builtin parameters {stray} are not valid with channel = file")
 
     kwargs: dict = {
         "channel": channel, "channel_file": channel_file, "channel_params": builtin_params(doc)

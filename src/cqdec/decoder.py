@@ -19,16 +19,18 @@ side by side in one (dim_H, K) array.
 On H a run of no-steps, a product of factors (1 - W_l W_l^dagger), has the
 compact WY form of Schreiber & Van Loan (1989).  The plan splits its tests
 into runs of at most dim_H columns (a wider test is a run of its own), and
-build_plan builds one amplitude map per run by forward substitution (see
+build_plan builds one amplitude map per run by forward substitution, and
+one block-diagonal gap that gives each test's loss outside H (see
 RunFactor).  The Monte Carlo chains and build_povm both step through the
-runs with these factors.
+runs with these factors, in one step for tests of every width.
 
 Given that every earlier test answered "no" and every typicality check
 passed, the state in front of test k depends only on the initial state, the
 product eigenvector of (codeword, labels).  So the plan memoises each
 initial state's outcome masses (see BornChain): the cumulative masses of the
 opening abort and of a decode at each test and an abort after it, appended a
-run at a time from all of the run's amplitudes at once, in ``memo_slots``
+run at a time from all of the run's amplitudes at once.  The state is never
+normalised, so every mass comes out absolute.  The memo has ``memo_slots``
 slots of a whole chain's worst-case size; a chain made when all are taken
 is not stored.  A trial reads one block of n + 1 uniforms: its labels from
 the first n, each through its letter's CDF as ``rng.choice`` would, and its
@@ -83,9 +85,6 @@ ABORT_EXHAUSTED = "abort_exhausted"
 RANK_ONE = "rank_one"
 SUBSPACE = "subspace"
 
-_NORM_FLOOR = 1e-14
-
-
 def product_output_state(ch: CQChannel, j_seq) -> np.ndarray:
     """Exact channel output rho_{j_seq} in the average-state product eigenbasis."""
     state = None
@@ -101,36 +100,22 @@ def product_output_state(ch: CQChannel, j_seq) -> np.ndarray:
 class BornChain:
     """Cumulative outcome masses along one initial state's all-"no" path.
 
-    ``masses`` holds the cumulative absolute masses [opening abort, decode_0,
-    abort_0, decode_1, abort_1, ...] of the tests covered so far, which grow
-    a WY run at a time; a trial's outcome is the first entry above its
-    uniform.  ``psi`` is the normalised state in front of run ``run`` and
-    ``survival`` its absolute mass.  psi is None once the chain is complete:
-    every test covered, or cut by a floor rule, which pins the last entry at
-    >= 1 so that no uniform lies past it.  So a chain never holds more than
-    dim_H + 1 + 2 M numbers for M tests.
+    ``masses`` holds the cumulative masses [opening abort, decode_0, abort_0,
+    decode_1, abort_1, ...] of the tests covered so far, which grow a WY run
+    at a time; a trial's outcome is the first entry above its uniform.
+    ``psi`` is the state in front of run ``run``, never normalised: its
+    squared norm is the mass of every outcome still to come, so the masses
+    need no rescaling and a state of norm 0 simply adds zeros.  The chain
+    is complete once ``run`` is the plan's number of runs.  So a chain never
+    holds more than dim_H + 1 + 2 M numbers for M tests.
     """
 
-    __slots__ = ("masses", "psi", "survival", "run")
+    __slots__ = ("masses", "psi", "run")
 
-    def __init__(self, psi: np.ndarray, has_tests: bool):
-        self.survival = float(np.vdot(psi, psi).real)
+    def __init__(self, psi: np.ndarray):
+        self.masses = array("d", (max(1.0 - float(np.vdot(psi, psi).real), 0.0),))
+        self.psi = psi
         self.run = 0
-        if self.survival < _NORM_FLOOR:
-            self.masses, self.psi = array("d", (1.0,)), None
-        else:
-            self.masses = array("d", (max(1.0 - self.survival, 0.0),))
-            self.psi = psi / math.sqrt(self.survival) if has_tests else None
-
-    def append_run(self, values, complete: bool, after, end: float) -> None:
-        """Append a run's masses, and keep the state after it unless the chain is complete."""
-        self.masses.extend(values)
-        self.run += 1
-        if complete:
-            self.psi = None
-        else:
-            self.survival *= end
-            self.psi = after / math.sqrt(end)
 
 
 @dataclass(frozen=True)
@@ -141,17 +126,18 @@ class RunFactor:
     in schedule order, are 1 - W_B T_B^dagger W_B^dagger in the compact WY
     form; ``matrix`` is T_B^dagger W_B^dagger = (I + L_B)^-1 W_B^dagger, with
     L_B the entries of the Gram matrix W_B^dagger W_B whose row test comes
-    after the column test.  For a one-test run it is W^dagger.
-    ``loss`` is 1 - ||w_l||^2 per test, the part of each test's column
-    outside H, when every test of the run has rank one, else None.  The run
-    is tests ``start..stop - 1`` of the schedule; its test l owns rows
-    ``bounds[l]:bounds[l + 1]`` of ``matrix``, and ``columns`` is W_B, a
-    view of the plan's columns.
+    after the column test.  ``gap`` is I - blockdiag(W_l^dagger W_l), one
+    block per test: a_l^dagger gap_l a_l is the part of test l's no-branch
+    outside H (a test's full-space columns are orthonormal), which the
+    typicality check after it removes.  The run is tests ``start..stop - 1``
+    of the schedule; row i of ``matrix`` and of ``gap`` belongs to its test
+    ``row_test[i]``, counted from 0, and ``columns`` is W_B, a view of the
+    plan's columns.
     """
 
     matrix: np.ndarray
-    loss: np.ndarray | None
-    bounds: list[int]
+    gap: np.ndarray
+    row_test: np.ndarray
     columns: np.ndarray
     start: int
     stop: int
@@ -183,7 +169,7 @@ class DecoderPlan:
         key = (j_seq, labels)
         chain = self.memo.get(key)
         if chain is None:
-            chain = BornChain(self.masked_state(j_seq, labels), bool(self.factors))
+            chain = BornChain(self.masked_state(j_seq, labels))
             if len(self.memo) < self.memo_slots:
                 self.memo[key] = chain
         return chain
@@ -193,90 +179,44 @@ class DecoderPlan:
 
         With a = T_B^dagger W_B^dagger psi, test l of the run decodes with
         mass ||a_l||^2 and aborts at the typicality check after it with
-        a_l^dagger (1 - W_l^dagger W_l) a_l; the survival in front of each
-        test is the reverse cumulative sum of these from ||psi - W_B a||^2.
-        Every run, rank-one or wider, then goes through _outcome_masses,
-        which applies both floor rules; a rule that trips completes the
-        chain.
+        a_l^dagger gap_l a_l; each is one sum over the test's rows of a, for
+        every test of the run at once.  A loss is clamped at 0, so the
+        masses never decrease.  The state in front of the next run is
+        psi - W_B a.
         """
-        run = chain.run
-        factor = self.factors[run]
-        psi = chain.psi
-        total, scale = chain.masses[-1], chain.survival
-        # the first test's amplitudes first: when its no-branch is below the
-        # floor the rest of the run is never needed
-        first = factor.bounds[1]
-        a = np.empty(factor.matrix.shape[0], dtype=factor.matrix.dtype)
-        np.matmul(factor.matrix[:first], psi, out=a[:first])
-        if 1.0 - np.vdot(a[:first], a[:first]).real < _NORM_FLOOR:
-            chain.append_run([max(total + scale, 1.0)], True, None, 0.0)
-            return
-        np.matmul(factor.matrix[first:], psi, out=a[first:])
-        sq = a.real * a.real + a.imag * a.imag
-        if factor.loss is not None:  # rank-one tests, up to dim_H of them
-            after = psi - factor.columns @ a
-            decode, loss = sq, sq * factor.loss
-        else:  # wider tests, a few per run: a_l^dagger W_l^dagger W_l a_l = ||W_l a_l||^2
-            spans = list(zip(factor.bounds, factor.bounds[1:]))
-            parts = [factor.columns[:, i:e] @ a[i:e] for i, e in spans]
-            after = psi - sum(parts)
-            decode = np.array([sq[i:e].sum() for i, e in spans])
-            loss = np.maximum(decode - [np.vdot(p, p).real for p in parts], 0.0)
-        end = float(np.vdot(after, after).real)
-        values, cut = _outcome_masses(total, scale, decode, loss, end)
-        chain.append_run(values, cut or run + 1 == len(self.factors), after, end)
-
-
-def _outcome_masses(total: float, scale: float, decode, loss, end: float) -> tuple[list, bool]:
-    """A run's cumulative outcome masses, with both floor rules, for all its tests at once.
-
-    ``total`` is the chain's last cumulative mass, ``scale`` the survival in
-    front of the run, ``decode`` and ``loss`` the tests' masses relative to
-    it and ``end`` the survival after the run.  One cumulative sum over two
-    rows gives the masses and, summed from the back, s = [front_0, no_0,
-    front_1, ..., front_k]: no_l = front_(l+1) + loss_l is test l's
-    no-branch and front_l = no_l + decode_l the survival in front of it.  A
-    rule trips where an entry of s falls below the floor relative to the one
-    before it (no_l: a forced decode, front_(l+1): an abort); the first trip
-    cuts the run there and pins its last mass at >= 1.  Returns the masses
-    and whether a rule cut the run.
-    """
-    both = np.empty((2, 2 * decode.size + 1))
-    both[0, 0] = total
-    both[1, 0] = end
-    both[0, 1::2] = decode
-    both[0, 2::2] = loss
-    both[1, 1:] = both[0, :0:-1]
-    both[0, 1:] *= scale
-    masses, s = np.cumsum(both, axis=1)
-    s = s[::-1]
-    trips = s[1:] < _NORM_FLOOR * s[:-1]
-    i = int(trips.argmax())
-    if not trips[i]:
-        return masses[1:].tolist(), False
-    masses[i + 1] = max(masses[i] + scale * s[i], 1.0)
-    return masses[1:i + 2].tolist(), True
+        factor = self.factors[chain.run]
+        a = factor.matrix @ chain.psi
+        ca = a.conj()  # a itself for a real channel
+        tests = factor.stop - factor.start
+        steps = np.empty(2 * tests + 1)
+        steps[0] = chain.masses[-1]
+        steps[1::2] = np.bincount(factor.row_test, (ca * a).real, tests)
+        loss = np.bincount(factor.row_test, (ca * (factor.gap @ a)).real, tests)
+        steps[2::2] = np.maximum(loss, 0.0)
+        chain.masses.extend(np.cumsum(steps)[1:].tolist())
+        chain.psi = chain.psi - factor.columns @ a
+        chain.run += 1
 
 
 def _wy_factor(columns: np.ndarray, offsets: np.ndarray, start: int, stop: int) -> RunFactor:
-    """The amplitude map of the run of tests start..stop - 1.
+    """The amplitude map and gap of the run of tests start..stop - 1.
 
     (I + L_B) X = W_B^dagger is solved by forward substitution, a test's
-    rows at a time: rows l of X are W_l^dagger - (W_l^dagger W_<l) X_<l,
-    matrix-vector products for rank-one tests, so the run's k x k Gram
-    matrix is never formed.
+    rows at a time: rows l of X are W_l^dagger - (W_l^dagger W_<l) X_<l, so
+    of the run's Gram matrix only the diagonal blocks W_l^dagger W_l, for
+    the gap, are ever formed.
     """
     w = columns[:, offsets[start]:offsets[stop]]
     # a ufunc writes a new array; for real columns w.conj() is w itself, and
     # the substitution below would overwrite the plan's columns
     matrix = np.conjugate(w.T, order="C")
-    bounds = (offsets[start:stop + 1] - offsets[start]).tolist()
-    for i, e in zip(bounds[1:-1], bounds[2:]):
+    gap = np.eye(w.shape[1], dtype=w.dtype)
+    bounds = offsets[start:stop + 1] - offsets[start]
+    for i, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        gap[i:e, i:e] -= matrix[i:e] @ w[:, i:e]
         matrix[i:e] -= (matrix[i:e] @ w[:, :i]) @ matrix[:i]
-    loss = None
-    if all(e - i == 1 for i, e in zip(bounds, bounds[1:])):  # all rank one
-        loss = np.maximum(1.0 - (w.real * w.real + w.imag * w.imag).sum(axis=0), 0.0)
-    return RunFactor(matrix, loss, bounds, w, start, stop)
+    row_test = np.repeat(np.arange(stop - start), np.diff(bounds))
+    return RunFactor(matrix, gap, row_test, w, start, stop)
 
 
 def build_plan(
@@ -293,9 +233,10 @@ def build_plan(
     order, so message N - 1 is tested last.
     One conditional_labels call gives every message's label sequences, and the
     work budget counts one block of columns per message, repeated codewords
-    included.  The plan comes with every WY run's factor, which together are
-    the size of the columns, and fixes its memo's slots: the work budget
-    over a chain's worst-case size (see BornChain).
+    included, each as wide as dim_H or the widest test, for the run factors'
+    gaps.  The plan comes with every WY run's factor, whose amplitude maps
+    together are the size of the columns, and fixes its memo's slots: the
+    work budget over a chain's worst-case size (see BornChain).
     """
     if variant not in (RANK_ONE, SUBSPACE):
         raise ValidationError(f"unknown variant '{variant}'")
@@ -307,17 +248,16 @@ def build_plan(
     words = np.array(codebook.codewords, dtype=int).reshape(-1, params.n)
     labels, _, counts = conditional_labels(ch, words, params.cond_delta, budgets)
     dim_h = model.dim_H
+    owner = np.repeat(np.arange(codebook.num_messages), counts)
+    widths = [1] * owner.size if variant == RANK_ONE else counts.tolist()
+    # a run's gap is as wide as the run: at most dim_H, unless one test is wider
+    side = max(dim_h, max(widths, default=0), 1)
     budgets.require(
-        f"masked test blocks {dim_h}x{labels.shape[0]}", work=labels.shape[0] * max(dim_h, 1)
+        f"masked test blocks {dim_h}x{labels.shape[0]} and gaps", work=labels.shape[0] * side
     )
     # each message's labels in lexicographic order: by message, then digit by digit
-    owner = np.repeat(np.arange(codebook.num_messages), counts)
     labels = labels[np.lexsort((*labels.T[::-1], owner))]
-    if variant == RANK_ONE:
-        tested = owner.tolist()
-        widths = [1] * len(tested)
-    else:
-        tested, widths = range(codebook.num_messages), counts.tolist()
+    tested = owner.tolist() if variant == RANK_ONE else range(codebook.num_messages)
     # the letters' coords side by side: letter j's column k is table column j*d + k,
     # so one product_entries call gives every test column, in schedule order
     table = np.concatenate(ch.coords, axis=1)
@@ -378,7 +318,7 @@ def simulate_trial(plan: DecoderPlan, true_index: int, rng: np.random.Generator)
     chain = plan.born_chain(word, labels)
     masses = chain.masses  # extended in place as the chain advances
     i = bisect_right(masses, u)
-    while i == len(masses) and chain.psi is not None:
+    while i == len(masses) and chain.run < len(plan.factors):
         plan.advance_chain(chain)
         i = bisect_right(masses, u, i)
     if i == len(masses):
@@ -610,12 +550,10 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     RunFactor), the one the Monte Carlo chains step with: a = T_B^dagger
     W_B^dagger c, and the chain becomes c - W_B a.  The whole set costs
     O(M dim_H^2) work in dim_H-sized BLAS products.  The abort block is the
-    surviving c^dagger c plus each test's typicality loss a_l^dagger (1 -
-    W_l^dagger W_l) a_l, the part of (1 - P_l) C_l outside H (a test's
-    full-space columns are orthonormal): a_l^dagger (1 - ||w_l||^2) a_l for a
-    rank-one test, with the run factor's ``loss``, and a_l^dagger (a_l -
-    W_l^dagger (W_l a_l)) for a wider one, whose W_l a_l is also its step.
-    So completeness_defect checks the chain's arithmetic, not an identity.
+    surviving c^dagger c plus each test's typicality loss a_l^dagger gap_l
+    a_l, the part of (1 - P_l) C_l outside H, for a whole run at once with
+    the run factor's block-diagonal ``gap``.  So completeness_defect checks
+    the chain's arithmetic, not an identity.
     """
     dim_h = plan.model.dim_H
     budgets.require(f"{dim_h}x{dim_h} POVM accumulation", work=dim_h * dim_h)
@@ -626,15 +564,8 @@ def build_povm(plan: DecoderPlan, budgets: Budgets = DEFAULT_BUDGETS) -> POVMSet
     abort = np.zeros((dim_h, dim_h), dtype=dtype)
     for factor in plan.factors:
         a = np.matmul(factor.matrix, chain, out=amps[offsets[factor.start]:offsets[factor.stop]])
-        if factor.loss is not None:  # rank-one tests
-            abort += a.conj().T @ (factor.loss[:, None] * a)
-            chain -= factor.columns @ a
-        else:  # wider tests: each W_l a_l serves both the loss and the step
-            for i, e in zip(factor.bounds, factor.bounds[1:]):
-                w, a_l = factor.columns[:, i:e], a[i:e]
-                step = w @ a_l
-                abort += a_l.conj().T @ (a_l - w.conj().T @ step)
-                chain -= step
+        abort += a.conj().T @ (factor.gap @ a)
+        chain -= factor.columns @ a
     abort += chain.conj().T @ chain
     abort = 0.5 * (abort + abort.conj().T)
     return POVMSet(plan=plan, columns=np.conjugate(amps, out=amps).T, abort=abort)

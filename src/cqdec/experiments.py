@@ -13,6 +13,7 @@ from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; here it loads at import, not in the first point_seed
 
 from .bounds import rate_condition
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -21,6 +22,7 @@ from .codebook import sample_codebook
 from .config import ExperimentConfig
 from .decoder import (
     DECODED,
+    DecoderPlan,
     build_plan,
     build_povm,
     check_oracle_budget,
@@ -89,6 +91,23 @@ def typicality_params(cfg: ExperimentConfig, n: int) -> TypicalityParams:
     return TypicalityParams(n, cfg.delta, cfg.delta_source, cfg.delta_cond)
 
 
+def run_trials(plan: DecoderPlan, trials: int, seed: int) -> tuple[int, int, int]:
+    """``trials`` Monte Carlo trials of ``plan``: the counts of errors, aborts and misdecodes.
+
+    One generator seeded by (seed, 1) draws every trial's message first,
+    then each trial's uniforms.
+    """
+    rng = np.random.default_rng([seed, 1])
+    aborts = wrong = 0
+    for s in rng.integers(plan.codebook.num_messages, size=trials).tolist():
+        tr = simulate_trial(plan, s, rng)
+        if tr.outcome != DECODED:
+            aborts += 1
+        elif tr.decoded != s:
+            wrong += 1
+    return aborts + wrong, aborts, wrong
+
+
 def run_point(
     ch: CQChannel,
     cfg: ExperimentConfig,
@@ -128,17 +147,8 @@ def run_point(
         )
         if want_exact:
             check_oracle_budget(dim, budgets)  # before the trials and the POVM pay for it
-        rng = np.random.default_rng([seed, 1])
         trials = cfg.trials
-        errors = aborts = wrong = 0
-        for s in rng.integers(codebook.num_messages, size=trials).tolist():
-            tr = simulate_trial(plan, s, rng)
-            if tr.outcome != DECODED:
-                errors += 1
-                aborts += 1
-            elif tr.decoded != s:
-                errors += 1
-                wrong += 1
+        errors, aborts, wrong = run_trials(plan, trials, seed)
         err = errors / trials if trials else None
         ci_low, ci_high = binomial_interval(errors, trials) if trials else (None, None)
         exact_err = exact_abort = exact_mis = None

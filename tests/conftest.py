@@ -32,9 +32,6 @@ from cqdec.typicality import (
     conditional_labels,
 )
 
-FLOOR = 1e-14
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -457,67 +454,20 @@ def sequential_masses(plan, j_seq, labels):
     Yields [opening abort, decode_0, abort_0, decode_1, ...], the law that
     simulate_trial samples, from the unnormalised state walked through one
     no-step per test: test l decodes with mass ||a_l||^2, a_l = W_l^dagger psi,
-    and aborts at the next typicality check with a_l^dagger (1 - W_l^dagger
-    W_l) a_l.  A no-branch below 1e-14 of the survival in front of its test
-    is a forced decode, a survival below 1e-14 of its no-branch an abort;
-    either ends the chain with a last entry of at least 1.
+    and aborts at the next typicality check with a_l^dagger (a_l - W_l^dagger
+    W_l a_l), clamped at 0.  No mass is rescaled and no rule cuts the walk.
     """
     psi = plan.masked_state(j_seq, labels)
-    front = float(np.vdot(psi, psi).real)
-    if front < FLOOR:
-        yield 1.0
-        return
-    total = max(1.0 - front, 0.0)
+    total = max(1.0 - float(np.vdot(psi, psi).real), 0.0)
     yield total
     for block in element_blocks(plan.columns, plan.offsets):
         amps = block.conj().T @ psi
         step = block @ amps
-        decode = float(np.vdot(amps, amps).real)
-        loss = max(float(np.vdot(amps, amps - block.conj().T @ step).real), 0.0)
+        total += float(np.vdot(amps, amps).real)
+        yield total
+        total += max(float(np.vdot(amps, amps - block.conj().T @ step).real), 0.0)
+        yield total
         psi = psi - step
-        after = float(np.vdot(psi, psi).real)
-        if after + loss < FLOOR * front:
-            yield max(total + front, 1.0)
-            return
-        total += decode
-        yield total
-        if after < FLOOR * (after + loss):
-            yield max(total + after + loss, 1.0)
-            return
-        total += loss
-        yield total
-        front = after
-
-
-def scalar_run_masses(total, scale, decode, loss, end):
-    """A run's cumulative masses, one test at a time, with the floor rules.
-
-    The scalar reference for decoder._outcome_masses.  ``total`` is the
-    chain's last cumulative mass and ``scale`` the survival in front of the
-    run; ``decode`` and ``loss`` are the tests' masses relative to it and
-    ``end`` the survival after the run.  The survival in front of a test is
-    the one after it plus its loss, which is its no-branch, plus its decode.
-    Returns the masses and whether a floor rule cut the run, which pins
-    the last mass at >= 1.
-    """
-    front = [end]  # survival in front of each test, from the back
-    for d, x in zip(reversed(decode), reversed(loss)):
-        front.append(front[-1] + x + d)
-    front.reverse()
-    values = []
-    for l, (d, x) in enumerate(zip(decode, loss)):
-        no_branch = front[l + 1] + x
-        if no_branch < FLOOR * front[l]:  # forced decode
-            values.append(max(total + scale * front[l], 1.0))
-            return values, True
-        total += scale * d
-        values.append(total)
-        if front[l + 1] < FLOOR * no_branch:  # abort
-            values.append(max(total + scale * no_branch, 1.0))
-            return values, True
-        total += scale * x
-        values.append(total)
-    return values, False
 
 
 def transcript_probability(plan, ch, j_seq, labels, test_index):
@@ -532,7 +482,7 @@ def transcript_probability(plan, ch, j_seq, labels, test_index):
         raise ValidationError(f"test_index {test_index} out of range")
     chain = plan.born_chain(tuple(int(j) for j in j_seq), tuple(int(k) for k in labels))
     at = 2 * test_index + 1
-    while len(chain.masses) <= at and chain.psi is not None:
+    while len(chain.masses) <= at and chain.run < len(plan.factors):
         plan.advance_chain(chain)
     if len(chain.masses) <= at:
         return 0.0

@@ -31,6 +31,12 @@ trials = 200
 seed = 7
 """
 
+CHANNEL_EXAMPLE = """\
+letter_dim = 2
+priors = [0.5, 0.5]
+outputs = [[[0.8, [0.1, 0.2]], [[0.1, -0.2], 0.2]], [[0.3, 0.0], [0.0, 0.7]]]
+"""
+
 
 def with_line(line):
     """BASE_CONFIG with ``line`` in place of its line for the same key, or appended."""
@@ -418,6 +424,27 @@ class TestExitCodes:
     ])
     def test_unresolvable_channel_is_a_config_error(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path, text.format(tmp=tmp_path))
+        assert main(["capacity", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, channel_doc, message", [
+        pytest.param("overlap = 0.3\nflip = 0.9\n", CHANNEL_EXAMPLE,
+                     "builtin parameters ['overlap', 'flip'] are not valid with channel = file",
+                     id="builtin-keys-next-to-a-file"),
+        pytest.param("", "builtin = trine\nletter_dim = 2\npriors = [1.0]\n"
+                     "outputs = [[[1, 0], [0, 0]]]\n",
+                     "'builtin' is not valid next to ['letter_dim', 'priors', 'outputs']",
+                     id="builtin-next-to-matrices"),
+        pytest.param("", CHANNEL_EXAMPLE + "noise = 0.1\n",
+                     "builtin parameters ['noise'] are only valid with 'builtin'",
+                     id="builtin-key-next-to-matrices"),
+    ])
+    def test_a_document_stating_two_channels_is_a_config_error(self, tmp_path, capsys, config,
+                                                               channel_doc, message):
+        # each once ran the one channel and dropped the keys of the other
+        chan = tmp_path / "chan.cfg"
+        chan.write_text(channel_doc)
+        cfg = write_config(tmp_path, f"channel = file\nchannel_file = {chan}\n" + config)
         assert main(["capacity", "--config", cfg]) == 1
         assert message in capsys.readouterr().err
 

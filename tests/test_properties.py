@@ -21,10 +21,11 @@ outputs.  The memoised Monte Carlo
 path, which reads a trial's outcome from WY-run outcome masses with one
 uniform, is checked against the same law walked one test at a time with one
 rng.choice per letter: the same transcripts and the same generator state,
-also under a memo cap, and the same decode masses to 1e-12.  Its outcome
-frequencies per message are checked against the exact oracle, and the
-vectorised run-mass step with both floor rules against the scalar
-one-test-at-a-time loop on synthetic runs that trip either rule anywhere.
+also under a memo cap, and the same decode masses to 1e-12; every
+cumulative mass of its chains is checked against that walk, nondecreasing
+and at most 1 + 1e-12, and a state with no component in H against the
+opening abort.  Its outcome frequencies per message are checked against the
+exact oracle.
 """
 import dataclasses
 import itertools
@@ -43,7 +44,6 @@ from cqdec.decoder import (
     ABORT_EXHAUSTED,
     DECODED,
     Transcript,
-    _outcome_masses,
     build_plan,
     build_povm,
     exact_error_probability,
@@ -73,7 +73,6 @@ from conftest import (
     random_density,
     reference_codewords,
     reference_typical_model,
-    scalar_run_masses,
     schedule_label_blocks,
     sequential_masses,
     transcript_probability,
@@ -96,7 +95,7 @@ def kron_cases(draw):
 
 
 @st.composite
-def plan_cases(draw, min_rank=1):
+def plan_cases(draw, min_rank=1, variant=None):
     """A random channel, a random codebook and typicality windows from tight to wide."""
     ch, n = draw(channel_cases(min_rank))
     letters = ch.alphabet_size
@@ -106,7 +105,7 @@ def plan_cases(draw, min_rank=1):
                         codewords=tuple(tuple(w) for w in words))
     params = TypicalityParams(n=n, delta=draw(st.sampled_from((0.2, 0.5, 2.0))),
                               delta_cond=draw(st.sampled_from((0.2, 0.5, 2.0))))
-    variant = draw(st.sampled_from(("rank_one", "subspace")))
+    variant = variant or draw(st.sampled_from(("rank_one", "subspace")))
     return build_plan(codebook, ch, params, variant=variant), params, variant
 
 
@@ -557,46 +556,49 @@ def test_trial_frequencies_per_message_match_the_exact_oracle(name, params, n, r
             assert abs(freq - p) <= bound, (s, counts, exact)
 
 
-@st.composite
-def run_mass_cases(draw):
-    """Synthetic (total, scale, decode, loss, end) of a run of 1-12 tests, and a floor rule to trip.
-
-    ``rule`` is None (masses >= 1e-3, nothing trips), "forced" or "abort" at
-    test ``at``: everything after that test, and for "forced" its own loss,
-    is set to 0 or to a vanishing 1e-30 or 1e-20.  "any" mixes zeros and
-    vanishing masses anywhere, where any rule may trip.
-    """
-    k = draw(st.integers(1, 12))
-    rule = draw(st.sampled_from((None, "forced", "abort", "any")))
-    mass = st.floats(1e-3, 1.0)
-    if rule == "any":
-        mass = st.one_of(mass, st.sampled_from((0.0, 1e-30, 1e-17, 1e-14)))
-    decode = np.array(draw(st.lists(mass, min_size=k, max_size=k)))
-    loss = np.array(draw(st.lists(mass, min_size=k, max_size=k)))
-    end = draw(mass)
-    at = draw(st.integers(0, k - 1))
-    if rule in ("forced", "abort"):
-        end = draw(st.sampled_from((0.0, 1e-30, 1e-20)))
-        decode[at + 1:] = loss[at + 1:] = end
-        if rule == "forced":
-            loss[at] = end
-    return draw(st.floats(0.0, 0.5)), draw(st.floats(1e-3, 1.0)), decode, loss, end, rule, at
+@pytest.mark.parametrize("variant", ["rank_one", "subspace"])
+@SETTINGS
+@given(st.data())
+def test_chain_masses_match_the_walk_one_test_at_a_time(variant, data):
+    # every label sequence of every codeword: the WY-run chain's masses never
+    # decrease, stay within 1 + 1e-12, and equal the floor-free walk
+    plan = data.draw(plan_cases(variant=variant))[0]
+    ch = plan.channel
+    for word in plan.codebook.codewords:
+        for labels in itertools.product(*(range(ch.letters[j].probs.size) for j in word)):
+            chain = plan.born_chain(word, labels)
+            while chain.run < len(plan.factors):
+                plan.advance_chain(chain)
+            masses = np.array(chain.masses)
+            walk = np.array(list(sequential_masses(plan, word, labels)))
+            assert masses.size == walk.size == 1 + 2 * plan.num_tests
+            assert np.all(np.diff(masses) >= 0.0) and masses[-1] <= 1.0 + 1e-12
+            assert np.abs(masses - walk).max() <= 1e-12
 
 
-@settings(SETTINGS, max_examples=300)
-@given(run_mass_cases())
-def test_vectorised_run_masses_match_the_scalar_floor_rules(case):
-    total, scale, decode, loss, end, rule, at = case
-    values, cut = _outcome_masses(total, scale, decode, loss, end)
-    assert (values, cut) == scalar_run_masses(total, scale, decode.tolist(), loss.tolist(), end)
-    if rule is None:
-        assert not cut and len(values) == 2 * decode.size
-    elif rule == "forced":
-        assert cut and len(values) == 2 * at + 1
-    elif rule == "abort":
-        assert cut and len(values) == 2 * at + 2
-    if cut:
-        assert values[-1] >= 1.0
+def test_a_zero_masked_state_aborts_at_the_opening_check():
+    # the average state diag(0.55, 0.45) is diagonal, so labels 0000 of
+    # codeword 0000 give the basis vector |0000>, whose eigenvalue 0.55^4 lies
+    # outside the delta = 0.1 window: no component in H, only the opening abort
+    ch = make_channel([0.5, 0.5], [np.diag([0.9, 0.1]), np.diag([0.2, 0.8])])
+    word = (0, 0, 0, 0)
+    cb = Codebook(n=4, rate=0.0, seed=0, delta_source=2.0, distinct=False,
+                  codewords=(word, (1, 1, 0, 0)))
+    plan = build_plan(cb, ch, TypicalityParams(n=4, delta=0.1, delta_cond=2.0))
+    assert not plan.masked_state(word, word).any() and plan.num_tests > 0
+    chain = plan.born_chain(word, word)
+    assert list(chain.masses) == [1.0]
+    rng = np.random.default_rng(3)
+    seen = 0
+    for _ in range(40):
+        tr = simulate_trial(plan, 0, rng)
+        if tr.labels == word:
+            seen += 1
+            assert tr.outcome == ABORT_ATYPICAL and tr.tests_run == 0
+    assert seen > 0
+    while chain.run < len(plan.factors):  # the rest of the chain adds nothing
+        plan.advance_chain(chain)
+    assert set(chain.masses) == {1.0}
 
 
 @SETTINGS

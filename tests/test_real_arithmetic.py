@@ -116,9 +116,9 @@ def test_real_path_equals_the_complex_path(name, variant):
     dev["columns"] = deviation(r["plan"].columns, c["plan"].columns)
     for fr, fc in zip(r["plan"].factors, c["plan"].factors, strict=True):
         dev["factors"] = max(dev.get("factors", 0.0), deviation(fr.matrix, fc.matrix))
-        assert (fr.loss is None) == (fc.loss is None) and fr.bounds == fc.bounds
-        if fr.loss is not None:
-            dev["loss"] = max(dev.get("loss", 0.0), deviation(fr.loss, fc.loss))
+        assert np.array_equal(fr.row_test, fc.row_test)
+        assert fr.gap.dtype == np.float64 and fc.gap.dtype == np.complex128
+        dev["gap"] = max(dev.get("gap", 0.0), deviation(fr.gap, fc.gap))
     dev["povm_columns"] = deviation(r["povm"].columns, c["povm"].columns)
     dev["povm_abort"] = deviation(r["povm"].abort, c["povm"].abort)
     for field in ("per_message_success", "per_message_abort", "per_message_misdecode"):
